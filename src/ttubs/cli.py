@@ -18,16 +18,15 @@ from .constraints import census, validate_schedule
 from .harness import (
     ChainSpec,
     ExperimentPlan,
-    census_csv,
     fault_preset,
     gen_chain,
     metrics_csv,
     replay_fixture,
     report_census,
     report_metrics,
+    rows_to_csv,
     run_census_study,
     run_solver_study,
-    solver_csv,
 )
 from .lstb import LstbLimits, lstb_solve
 from .model import load_scenario, save_scenario
@@ -244,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
             rng_seed=args.seed,
             workers=args.workers,
         )
-        _write(args.out, census_csv(run_census_study(plan)))
+        _write(args.out, rows_to_csv(run_census_study(plan)))
         return 0
 
     if args.cmd == "study-solvers":
@@ -256,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             rng_seed=args.seed,
             workers=args.workers,
         )
-        _write(args.out, solver_csv(run_solver_study(plan)))
+        _write(args.out, rows_to_csv(run_solver_study(plan)))
         return 0
 
     if args.cmd == "report":

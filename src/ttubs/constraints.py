@@ -15,21 +15,24 @@ Five constraint families are generated from a scenario:
 
 Constraints are emitted fully ground: slot indices are expanded, all
 constants folded.  Offset variables are slot-relative; the ``slot * period``
-displacement appears only inside folded constants.  Builders iterate in
-scenario order, so identical scenarios yield identical constraint lists.
+displacement appears only inside folded constants.  ``build_constraint_set``
+is the one place the system is built: it expands and indexes the frame
+instances once and shares them with the five family builders.  Builders
+iterate in scenario order, so identical scenarios yield identical
+constraint lists.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
 
 from .model import (
     FrameInstance,
     InvalidInputError,
     Scenario,
     Stream,
+    _sym,
     expand_frame_instances,
 )
 from .schedule import NFIC_QUEUE, Schedule
@@ -41,11 +44,6 @@ __all__ = [
     "ConstraintSet",
     "ConstraintCensus",
     "CATEGORIES",
-    "build_frame_constraints",
-    "build_link_constraints",
-    "build_flow_constraints",
-    "build_e2e_constraints",
-    "build_isolation_constraints",
     "build_constraint_set",
     "census",
     "validate_schedule",
@@ -112,8 +110,7 @@ class QueueVar:
 
 
 def queue_var_name(stream: str, link: LinkKey) -> str:
-    clean = lambda t: "".join(c if c.isalnum() else "_" for c in t)
-    return f"q_{clean(stream)}_{clean(link[0])}__{clean(link[1])}"
+    return f"q_{_sym(stream)}_{_sym(link[0])}__{_sym(link[1])}"
 
 
 @dataclass
@@ -129,6 +126,26 @@ class ConstraintSet:
 
     def free_queue_vars(self) -> list[QueueVar]:
         return [q for q in self.queue_vars if q.fixed is None]
+
+    def census(self) -> ConstraintCensus:
+        """Per-category constraint counts."""
+        counts = dict.fromkeys(CATEGORIES, 0)
+        for gc in self.constraints:
+            counts[gc.category] += 1
+        return ConstraintCensus(**counts)
+
+    def violations(self, schedule: Schedule) -> list[GroundConstraint]:
+        """Evaluate every ground constraint on the schedule; returns the
+        violated ones (empty = valid in this set's mode).  Raises
+        :class:`InvalidInputError` when the schedule leaves a variable
+        unassigned."""
+        assignment: dict[str, int] = {}
+        for fi in self.instances:
+            absolute = schedule.offset(fi.stream, fi.link, fi.slot)
+            assignment[fi.var_name] = absolute - fi.slot * fi.period_ns
+        for qv in self.queue_vars:
+            assignment[qv.name] = qv.fixed if qv.fixed is not None else schedule.queue_of(qv.stream, qv.link)
+        return [gc for gc in self.constraints if not gc.holds(assignment)]
 
 
 @dataclass(frozen=True)
@@ -155,103 +172,76 @@ class ConstraintCensus:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# family builders over the shared instance index
+#
+# ``by`` maps (stream, link) to that hop's instances in slot order; every
+# hop of a stream has ``hp / T`` of them, so slot m of one hop pairs with
+# slot m of any other hop of the same stream.  ``on_link`` maps each link
+# to the streams crossing it, in scenario order.
 
-def _instances_by_stream_link(instances: Sequence[FrameInstance]):
-    by: dict[tuple[str, LinkKey], list[FrameInstance]] = {}
-    for fi in instances:
-        by.setdefault((fi.stream, fi.link), []).append(fi)
-    return by
-
-
-def _ge(lhs: Sequence[tuple[str, int]], const: int) -> Atom:
-    return Atom(tuple(lhs), ">=", const)
+_Index = dict[tuple[str, LinkKey], list[FrameInstance]]
 
 
-def _le(lhs: Sequence[tuple[str, int]], const: int) -> Atom:
-    return Atom(tuple(lhs), "<=", const)
+def _ge(lhs: tuple[tuple[str, int], ...], const: int) -> Atom:
+    return Atom(lhs, ">=", const)
 
 
-def _queue_links(scenario: Scenario) -> list[tuple[str, LinkKey]]:
-    """(stream, link) pairs owning a queue variable: switch egress hops."""
-    kinds = dict(scenario.nodes)
-    out = []
-    for s in scenario.streams:
-        for key in s.route:
-            if kinds.get(key[0]) == "switch":
-                out.append((s.id, key))
-    return out
+def _le(lhs: tuple[tuple[str, int], ...], const: int) -> Atom:
+    return Atom(lhs, "<=", const)
 
 
-# ---------------------------------------------------------------------------
-# builders
-
-def build_frame_constraints(scenario: Scenario) -> list[GroundConstraint]:
+def _frame_constraints(instances: list[FrameInstance]) -> list[GroundConstraint]:
     """One constraint per frame instance: ``0 <= phi <= T - L``."""
     out = []
-    for fi in expand_frame_instances(scenario):
-        var = fi.var_name
-        atoms = (_ge([(var, 1)], 0), _le([(var, 1)], fi.period_ns - fi.duration_ns))
+    for fi in instances:
+        var = ((fi.var_name, 1),)
+        atoms = (_ge(var, 0), _le(var, fi.period_ns - fi.duration_ns))
         out.append(GroundConstraint("frame", (atoms,), f"frame[{fi.stream}@{fi.link[0]}->{fi.link[1]}#{fi.slot}]"))
     return out
 
 
-def build_link_constraints(scenario: Scenario) -> list[GroundConstraint]:
+def _link_constraints(scenario: Scenario, on_link: dict[LinkKey, list[Stream]], by: _Index) -> list[GroundConstraint]:
     """Pairwise non-overlap of reserved windows on each link.
 
     For streams i, j sharing a link and every slot pair (a, b):
     ``i after j`` or ``j after i`` on absolute offsets.
     """
     out = []
-    by = _instances_by_stream_link(expand_frame_instances(scenario))
     for ln in scenario.links:
-        on_link = [s for s in scenario.streams if ln.key in s.route]
-        for ia in range(len(on_link)):
-            for ib in range(ia + 1, len(on_link)):
-                si, sj = on_link[ia], on_link[ib]
-                for fi in by[(si.id, ln.key)]:
-                    for fj in by[(sj.id, ln.key)]:
-                        a_disp = fi.slot * fi.period_ns
-                        b_disp = fj.slot * fj.period_ns
-                        # i starts after j ends:  phi_i + aT >= phi_j + bT + Lj
-                        first = _ge([(fi.var_name, 1), (fj.var_name, -1)], b_disp + fj.duration_ns - a_disp)
-                        # j starts after i ends
-                        second = _ge([(fj.var_name, 1), (fi.var_name, -1)], a_disp + fi.duration_ns - b_disp)
-                        out.append(
-                            GroundConstraint(
-                                "link",
-                                ((first,), (second,)),
-                                f"link[{ln.src}->{ln.dst}: {si.id}#{fi.slot} vs {sj.id}#{fj.slot}]",
-                            )
+        for si, sj in combinations(on_link[ln.key], 2):
+            for fi in by[(si.id, ln.key)]:
+                for fj in by[(sj.id, ln.key)]:
+                    a_disp = fi.slot * fi.period_ns
+                    b_disp = fj.slot * fj.period_ns
+                    # i starts after j ends:  phi_i + aT >= phi_j + bT + Lj
+                    first = _ge(((fi.var_name, 1), (fj.var_name, -1)), b_disp + fj.duration_ns - a_disp)
+                    # j starts after i ends
+                    second = _ge(((fj.var_name, 1), (fi.var_name, -1)), a_disp + fi.duration_ns - b_disp)
+                    out.append(
+                        GroundConstraint(
+                            "link",
+                            ((first,), (second,)),
+                            f"link[{ln.src}->{ln.dst}: {si.id}#{fi.slot} vs {sj.id}#{fj.slot}]",
                         )
+                    )
     return out
 
 
-def _hop_pairs(n_up: int, n_down: int) -> list[tuple[int, int]]:
-    """Distinct (upstream slot, downstream slot) pairs taken by successive
-    periods of one stream when the two links have different hyper-periods."""
-    reps = math.lcm(n_up, n_down)
-    return [(m % n_up, m % n_down) for m in range(reps)]
-
-
-def build_flow_constraints(scenario: Scenario) -> list[GroundConstraint]:
+def _flow_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
     """Hop ordering along each route: the downstream window opens only after
     full arrival from upstream plus propagation, processing and the worst
     clock offset between the two devices."""
     out = []
-    by = _instances_by_stream_link(expand_frame_instances(scenario))
     delta = scenario.sync_precision_ns
     for s in scenario.streams:
         for up_key, down_key in zip(s.route, s.route[1:]):
             up = by[(s.id, up_key)]
-            down = by[(s.id, down_key)]
             link_up = scenario.link(up_key)
             lag = up[0].duration_ns + link_up.prop_delay_ns + link_up.proc_delay_ns + delta
-            for a, b in _hop_pairs(len(up), len(down)):
-                fu, fd = up[a], down[b]
-                # both offsets displace by the same global period index, so
-                # the slot terms cancel and only the arrival lag remains
-                atom = _ge([(fd.var_name, 1), (fu.var_name, -1)], lag)
+            for fu, fd in zip(up, by[(s.id, down_key)]):
+                # both offsets displace by the same period index, so the
+                # slot terms cancel and only the arrival lag remains
+                atom = _ge(((fd.var_name, 1), (fu.var_name, -1)), lag)
                 out.append(
                     GroundConstraint(
                         "flow",
@@ -262,89 +252,66 @@ def build_flow_constraints(scenario: Scenario) -> list[GroundConstraint]:
     return out
 
 
-def build_e2e_constraints(scenario: Scenario) -> list[GroundConstraint]:
+def _e2e_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
     """Per stream and slot: last-hop completion minus first-hop start stays
     within the stream deadline."""
     out = []
-    by = _instances_by_stream_link(expand_frame_instances(scenario))
     for s in scenario.streams:
-        first = by[(s.id, s.route[0])]
-        last = by[(s.id, s.route[-1])]
-        for a, b in _hop_pairs(len(first), len(last)):
-            ff, fl = first[a], last[b]
-            # global period displacement cancels between first and last hop
-            atom = _le([(fl.var_name, 1), (ff.var_name, -1)], s.e2e_deadline_ns - fl.duration_ns)
+        for ff, fl in zip(by[(s.id, s.route[0])], by[(s.id, s.route[-1])]):
+            # the period displacement cancels between first and last hop
+            atom = _le(((fl.var_name, 1), (ff.var_name, -1)), s.e2e_deadline_ns - fl.duration_ns)
             out.append(GroundConstraint("e2e", ((atom,),), f"e2e[{s.id}#{ff.slot}->{fl.slot}]"))
     return out
 
 
-def build_isolation_constraints(scenario: Scenario, mode: str = "wa") -> list[GroundConstraint]:
-    """Egress-queue isolation: for each egress link and stream pair, either
-    one stream's frame arrives at the device only after the other's has
-    left the queue (left = reached its egress offset), or the two streams
-    use different queues.
-
-    Arrival time is the upstream absolute offset plus upstream wire time,
-    upstream propagation delay and the worst clock offset.  On a stream's
-    first hop the "upstream offset" is its talker send offset on that very
-    link and no wire/propagation time is added.  In ``nfic`` mode nothing
-    is emitted: per-stream shaped queues make enqueue order immaterial.
-    """
-    if mode == "nfic":
-        return []
-    out = []
-    by = _instances_by_stream_link(expand_frame_instances(scenario))
+def _arrivals(scenario: Scenario, s: Stream, egress: LinkKey, by: _Index) -> list[tuple[str, int]]:
+    """Per egress slot, (var name, folded constant) of the stream's arrival
+    at the device feeding `egress`: the upstream absolute offset plus
+    upstream wire time, upstream propagation delay and the worst clock
+    offset.  On a stream's first hop the "upstream offset" is its talker
+    send offset on that very link and no wire/propagation time is added."""
     delta = scenario.sync_precision_ns
-    kinds = dict(scenario.nodes)
+    hop = s.route.index(egress)
+    if hop == 0:
+        return [(fi.var_name, fi.slot * s.period_ns + delta) for fi in by[(s.id, egress)]]
+    up_key = s.route[hop - 1]
+    lag = scenario.link(up_key).prop_delay_ns + delta
+    return [(fu.var_name, fu.slot * s.period_ns + fu.duration_ns + lag) for fu in by[(s.id, up_key)]]
 
-    def arrival_parts(s: Stream, egress: LinkKey, egress_slot: int):
-        """(var name, folded constant) of the stream's arrival at the device
-        feeding `egress`, for the frame that uses `egress_slot` there.  The
-        displacement uses the egress-cycle slot: the upstream link may have a
-        shorter hyper-period, in which case one upstream variable serves
-        several egress slots."""
-        hop = s.route.index(egress)
-        if hop == 0:
-            fi = by[(s.id, egress)][egress_slot]
-            return fi.var_name, egress_slot * s.period_ns + delta
-        up_key = s.route[hop - 1]
-        ups = by[(s.id, up_key)]
-        fu = ups[egress_slot % len(ups)]
-        link_up = scenario.link(up_key)
-        const = (
-            egress_slot * s.period_ns
-            + fu.duration_ns
-            + link_up.prop_delay_ns
-            + delta
-        )
-        return fu.var_name, const
 
+def _isolation_constraints(
+    scenario: Scenario, on_link: dict[LinkKey, list[Stream]], by: _Index, queue_vars: list[QueueVar]
+) -> list[GroundConstraint]:
+    """Egress-queue isolation (``wa`` mode only): for each egress link and
+    stream pair, either one stream's frame arrives at the device only after
+    the other's has left the queue (left = reached its egress offset), or
+    the two streams use different queues.  In ``nfic`` mode per-stream
+    shaped queues make enqueue order immaterial, so nothing is emitted."""
+    out = []
+    queue_name = {(q.stream, q.link): q.name for q in queue_vars}
     for ln in scenario.links:
-        on_link = [s for s in scenario.streams if ln.key in s.route]
-        has_queue = kinds.get(ln.src) == "switch"
-        for ia in range(len(on_link)):
-            for ib in range(ia + 1, len(on_link)):
-                si, sj = on_link[ia], on_link[ib]
-                for fi in by[(si.id, ln.key)]:
-                    for fj in by[(sj.id, ln.key)]:
-                        vj, cj = arrival_parts(sj, ln.key, fj.slot)
-                        vi, ci = arrival_parts(si, ln.key, fi.slot)
-                        # j arrives only after i left the queue
-                        d1 = _ge([(vj, 1), (fi.var_name, -1)], fi.slot * fi.period_ns - cj)
-                        # i arrives only after j left the queue
-                        d2 = _ge([(vi, 1), (fj.var_name, -1)], fj.slot * fj.period_ns - ci)
-                        disjuncts: list[tuple[Atom, ...]] = [(d1,), (d2,)]
-                        if has_queue:
-                            qi = queue_var_name(si.id, ln.key)
-                            qj = queue_var_name(sj.id, ln.key)
-                            disjuncts.append((Atom(((qi, 1), (qj, -1)), "!=", 0),))
-                        out.append(
-                            GroundConstraint(
-                                "isolation",
-                                tuple(disjuncts),
-                                f"isolation[{ln.src}->{ln.dst}: {si.id}#{fi.slot} vs {sj.id}#{fj.slot}]",
-                            )
+        streams = on_link[ln.key]
+        arrivals = {s.id: _arrivals(scenario, s, ln.key, by) for s in streams}
+        for si, sj in combinations(streams, 2):
+            separated: tuple[tuple[Atom, ...], ...] = ()
+            if (si.id, ln.key) in queue_name:  # switch egress: queues are variables
+                qi, qj = queue_name[(si.id, ln.key)], queue_name[(sj.id, ln.key)]
+                separated = ((Atom(((qi, 1), (qj, -1)), "!=", 0),),)
+            for fi in by[(si.id, ln.key)]:
+                vi, ci = arrivals[si.id][fi.slot]
+                for fj in by[(sj.id, ln.key)]:
+                    vj, cj = arrivals[sj.id][fj.slot]
+                    # j arrives only after i left the queue
+                    d1 = _ge(((vj, 1), (fi.var_name, -1)), fi.slot * fi.period_ns - cj)
+                    # i arrives only after j left the queue
+                    d2 = _ge(((vi, 1), (fj.var_name, -1)), fj.slot * fj.period_ns - ci)
+                    out.append(
+                        GroundConstraint(
+                            "isolation",
+                            ((d1,), (d2,)) + separated,
+                            f"isolation[{ln.src}->{ln.dst}: {si.id}#{fi.slot} vs {sj.id}#{fj.slot}]",
                         )
+                    )
     return out
 
 
@@ -357,34 +324,35 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
     if len(set(names)) != len(names):
         # distinct ids can sanitize to one symbol (e.g. "s-1" vs "s_1")
         raise InvalidInputError("stream/node ids collide after symbol sanitization")
+    by: _Index = {}
+    for fi in instances:
+        by.setdefault((fi.stream, fi.link), []).append(fi)
+    on_link = {ln.key: [s for s in scenario.streams if ln.key in s.route] for ln in scenario.links}
+
+    # queue variables live on switch egress hops
+    kinds = dict(scenario.nodes)
+    fixed = NFIC_QUEUE if mode == "nfic" else None
+    queue_vars = [
+        QueueVar(queue_var_name(s.id, key), s.id, key, scenario.link(key).queue_count - 1, fixed)
+        for s in scenario.streams
+        for key in s.route
+        if kinds.get(key[0]) == "switch"
+    ]
+
     constraints = (
-        build_frame_constraints(scenario)
-        + build_link_constraints(scenario)
-        + build_flow_constraints(scenario)
-        + build_e2e_constraints(scenario)
-        + build_isolation_constraints(scenario, mode)
+        _frame_constraints(instances)
+        + _link_constraints(scenario, on_link, by)
+        + _flow_constraints(scenario, by)
+        + _e2e_constraints(scenario, by)
     )
-    queue_vars = []
-    for stream_id, key in _queue_links(scenario):
-        cmax = scenario.link(key).queue_count - 1
-        fixed = NFIC_QUEUE if mode == "nfic" else None
-        queue_vars.append(QueueVar(queue_var_name(stream_id, key), stream_id, key, cmax, fixed))
+    if mode == "wa":
+        constraints += _isolation_constraints(scenario, on_link, by, queue_vars)
     return ConstraintSet(mode, instances, queue_vars, constraints)
 
 
 def census(scenario: Scenario, mode: str = "wa") -> ConstraintCensus:
     """Per-category constraint counts, without solving."""
-    cs = build_constraint_set(scenario, mode)
-    counts = {c: 0 for c in CATEGORIES}
-    for gc in cs.constraints:
-        counts[gc.category] += 1
-    return ConstraintCensus(
-        frame=counts["frame"],
-        link=counts["link"],
-        flow=counts["flow"],
-        e2e=counts["e2e"],
-        isolation=counts["isolation"],
-    )
+    return build_constraint_set(scenario, mode).census()
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +361,6 @@ def census(scenario: Scenario, mode: str = "wa") -> ConstraintCensus:
 def validate_schedule(
     scenario: Scenario, schedule: Schedule, mode: str = "nfic"
 ) -> list[GroundConstraint]:
-    """Evaluate every ground constraint; returns the violated ones (empty =
-    schedule is valid in the requested mode).  Raises
-    :class:`InvalidInputError` when the schedule leaves a variable
-    unassigned."""
-    cs = build_constraint_set(scenario, mode)
-    assignment: dict[str, int] = {}
-    for fi in cs.instances:
-        absolute = schedule.offset(fi.stream, fi.link, fi.slot)
-        assignment[fi.var_name] = absolute - fi.slot * fi.period_ns
-    for qv in cs.queue_vars:
-        assignment[qv.name] = qv.fixed if qv.fixed is not None else schedule.queue_of(qv.stream, qv.link)
-    return [gc for gc in cs.constraints if not gc.holds(assignment)]
+    """Violated ground constraints of the schedule (empty = valid in the
+    requested mode); see :meth:`ConstraintSet.violations`."""
+    return build_constraint_set(scenario, mode).violations(schedule)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .constraints import validate_schedule
+from .constraints import build_constraint_set
 from .model import InvalidInputError, Scenario, scenario_from_dict
 from .schedule import Schedule
 
@@ -142,20 +142,15 @@ def table7_schedule(scenario: Scenario | None = None) -> tuple[Schedule, list]:
 def _fill_missing(scenario: Scenario, sched: Schedule) -> list:
     """Fill absent switch-hop offsets with the smallest microsecond-grid
     value accepted by the validator."""
-    from .model import expand_frame_instances
-
-    missing = [
-        fi
-        for fi in expand_frame_instances(scenario)
-        if (fi.stream, fi.link, fi.slot) not in sched.offsets
-    ]
+    cs = build_constraint_set(scenario, "nfic")
+    missing = [fi for fi in cs.instances if (fi.stream, fi.link, fi.slot) not in sched.offsets]
     filled = []
     for fi in missing:
         base = fi.slot * fi.period_ns
         chosen = None
         for cand_us in range((fi.period_ns - fi.duration_ns) // US + 1):
             sched.offsets[(fi.stream, fi.link, fi.slot)] = base + cand_us * US
-            if not validate_schedule(scenario, sched, "nfic"):
+            if not cs.violations(sched):
                 chosen = base + cand_us * US
                 break
         if chosen is None:

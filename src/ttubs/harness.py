@@ -27,8 +27,7 @@ __all__ = [
     "replay_fixture",
     "table5_drop",
     "table5_delay",
-    "census_csv",
-    "solver_csv",
+    "rows_to_csv",
     "metrics_csv",
     "report_census",
     "report_metrics",
@@ -301,7 +300,8 @@ def replay_fixture(
 # ---------------------------------------------------------------------------
 # CSV rendering
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV with a header row taken from the first row's keys ("" for no rows)."""
     if not rows:
         return ""
     buf = io.StringIO()
@@ -309,14 +309,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
     w.writeheader()
     w.writerows(rows)
     return buf.getvalue()
-
-
-def census_csv(rows: list[dict]) -> str:
-    return _rows_to_csv(rows)
-
-
-def solver_csv(rows: list[dict]) -> str:
-    return _rows_to_csv(rows)
 
 
 def metrics_csv(metrics: dict[str, StreamMetrics]) -> str:
@@ -339,7 +331,7 @@ def metrics_csv(metrics: dict[str, StreamMetrics]) -> str:
                 "jitter_violation": int(m.jitter_violation),
             }
         )
-    return _rows_to_csv(rows)
+    return rows_to_csv(rows)
 
 
 def report_census(rows: list[dict]) -> str:
@@ -376,4 +368,4 @@ def report_metrics(reports: list[ReplayReport]) -> str:
                     ),
                 }
             )
-    return _rows_to_csv(rows)
+    return rows_to_csv(rows)

@@ -110,9 +110,14 @@ class _Search:
                     + link_up.proc_delay_ns
                     + delta
                 )
-            if fi.hop == len(s.route) - 1 and fi.hop > 0:
-                self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
-                self.e2e_slack[i] = s.e2e_deadline_ns - fi.duration_ns
+            if fi.hop == len(s.route) - 1:
+                if fi.hop > 0:
+                    self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
+                    self.e2e_slack[i] = s.e2e_deadline_ns - fi.duration_ns
+                elif s.e2e_deadline_ns < fi.duration_ns:
+                    # a single hop meets its deadline at every offset or at
+                    # none: an empty window makes the frame infeasible
+                    self.window_hi[i] = -1
             self.iso_checked[i] = mode == "fic" and kinds.get(fi.link[0]) == "switch"
             self.queue_of[i] = self.queues.get((fi.stream, fi.link), NFIC_QUEUE)
         # arrival lag of a frame at its own device: upstream wire time + prop

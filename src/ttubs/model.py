@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -109,12 +110,6 @@ class Scenario:
             self.__dict__["_link_index_cache"] = idx
         return idx
 
-    def node_kind(self, node: str) -> str:
-        for n, kind in self.nodes:
-            if n == node:
-                return kind
-        raise InvalidInputError(f"unknown node {node}")
-
     def streams_on_link(self, key: tuple[str, str]) -> list[Stream]:
         return [s for s in self.streams if key in s.route]
 
@@ -127,14 +122,6 @@ class Scenario:
 
     def slots_of(self, stream: Stream) -> int:
         return self.hyper_period_ns // stream.period_ns
-
-    def link_hyper_period(self, key: tuple[str, str]) -> int:
-        """Least common multiple of the periods of the streams sharing the
-        link (0 for an idle link)."""
-        periods = [s.period_ns for s in self.streams_on_link(key)]
-        if not periods:
-            return 0
-        return hyper_period(periods)
 
 
 @dataclass(frozen=True)
@@ -153,12 +140,14 @@ class FrameInstance:
     period_ns: int
     hop: int  # 0 = talker link
 
-    @property
+    @cached_property
     def var_name(self) -> str:
         return f"off_{_sym(self.stream)}_{_sym(self.link[0])}__{_sym(self.link[1])}_{self.slot}"
 
 
 def _sym(text: str) -> str:
+    """SMT-LIB symbol part of an id: every non-alphanumeric becomes ``_``.
+    Names both offset and queue variables."""
     return "".join(c if c.isalnum() else "_" for c in text)
 
 

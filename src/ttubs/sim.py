@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import Deployment, GateControlList
+from .artifacts import Deployment
 from .model import InvalidInputError, Scenario, bytes_to_duration
 from .schedule import NFIC_QUEUE
 
@@ -43,7 +43,6 @@ __all__ = [
     "SimReport",
     "run",
     "collect_metrics",
-    "gcl_gate_state",
     "eligibility_decision",
     "MeterState",
 ]
@@ -120,12 +119,6 @@ class SimReport:
     metrics: dict[str, StreamMetrics]
     shaper_discards: int  # timeout + displaced, network-wide
     trace_path: str | None = None
-
-
-def gcl_gate_state(gcl: GateControlList, t: int) -> tuple[bool, ...]:
-    """Gate vector (True = open) of the interval containing ``t`` within
-    the cyclic list."""
-    return gcl.gates_at(t)
 
 
 def eligibility_decision(now: int, offsets: tuple[int, ...], cycle_ns: int, period_ns: int):

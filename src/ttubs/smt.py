@@ -17,9 +17,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .constraints import Atom, ConstraintSet, ConstraintCensus, build_constraint_set, census, validate_schedule
+from .constraints import Atom, ConstraintSet, ConstraintCensus, build_constraint_set
 from .model import InvalidInputError, Scenario
 from .schedule import Schedule
+from .smtlib_solver import SolverInputError, parse_sexprs, tokenize
 
 __all__ = [
     "SolveRequest",
@@ -131,45 +132,6 @@ def encode(cs: ConstraintSet) -> str:
 # ---------------------------------------------------------------------------
 # model parsing
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
-def _parse_sexprs(tokens: list[str]):
-    out, stack = [], []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise ModelParseError("unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            (stack[-1] if stack else out).append(tok)
-    if stack:
-        raise ModelParseError("unbalanced '('")
-    return out
-
-
 def _int_value(node) -> int:
     if isinstance(node, str):
         try:
@@ -190,9 +152,9 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
     """
     declared_set = set(declared)
     try:
-        forms = _parse_sexprs(_tokenize(output))
-    except ModelParseError:
-        raise
+        forms = parse_sexprs(tokenize(output))
+    except SolverInputError as exc:
+        raise ModelParseError(str(exc)) from exc
     assignment: dict[str, int] = {}
 
     def visit(node):
@@ -254,7 +216,7 @@ def solve(request: SolveRequest) -> SolveOutcome:
     cs = build_constraint_set(request.scenario, request.mode)
     text = encode(cs)
     cmd = request.solver_command or default_solver_command()
-    cens = census(request.scenario, request.mode)
+    cens = cs.census()
 
     start = time.perf_counter()
     try:
@@ -283,7 +245,7 @@ def solve(request: SolveRequest) -> SolveOutcome:
     declared = cs.offset_var_names + [q.name for q in cs.free_queue_vars()]
     assignment = parse_model(proc.stdout, declared)
     sched = _schedule_from_assignment(cs, assignment)
-    violated = validate_schedule(request.scenario, sched, request.mode)
+    violated = cs.violations(sched)
     if violated:
         raise SolverProcessError(
             f"solver model violates {len(violated)} constraints, first: {violated[0].label}"

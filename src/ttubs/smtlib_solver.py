@@ -19,6 +19,7 @@ relaxation constants are derived from the asserted boxes.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ class SolverInputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# s-expression reading (shared tokenizer shape with ttubs.smt, kept local so
-# the process stays importable on its own)
+# s-expression reading, also used by ttubs.smt to read models (this module
+# imports nothing from ttubs, so the process stays importable on its own)
 
 def tokenize(text: str) -> list[str]:
     tokens = []
@@ -124,29 +125,29 @@ class GeAtom:
         return GeAtom(tuple((v, -c) for v, c in self.coeffs), 1 - self.const)
 
 
+def ge_atom(coeffs: dict[str, int], sign: int, const: int) -> GeAtom:
+    """``sign * sum(coeffs * vars) >= const``; zero coefficients are dropped,
+    so an atom over ``(- v v)`` becomes a constant comparison."""
+    return GeAtom(tuple(sorted((v, sign * c) for v, c in coeffs.items() if c)), const)
+
+
 def atom_to_ge(node, variables: set[str]) -> list[GeAtom]:
     """One relational s-expr into >=-atoms (a list means conjunction)."""
     head = node[0]
     coeffs: dict[str, int] = {}
-    if head in (">=", ">", "<=", "<"):
+    if head in (">=", ">", "<=", "<", "="):
         const = linear(node[1], coeffs, 1, variables)
         const += linear(node[2], coeffs, -1, variables)
         # now: lhs_coeffs + const <op> 0
         if head == ">=":
-            return [GeAtom(tuple(sorted(coeffs.items())), -const)]
+            return [ge_atom(coeffs, 1, -const)]
         if head == ">":
-            return [GeAtom(tuple(sorted(coeffs.items())), -const + 1)]
+            return [ge_atom(coeffs, 1, -const + 1)]
         if head == "<=":
-            neg = {v: -c for v, c in coeffs.items()}
-            return [GeAtom(tuple(sorted(neg.items())), const)]
-        neg = {v: -c for v, c in coeffs.items()}
-        return [GeAtom(tuple(sorted(neg.items())), const + 1)]
-    if head == "=":
-        const = linear(node[1], coeffs, 1, variables)
-        const += linear(node[2], coeffs, -1, variables)
-        fw = GeAtom(tuple(sorted(coeffs.items())), -const)
-        bw = GeAtom(tuple(sorted((v, -c) for v, c in coeffs.items())), const)
-        return [fw, bw]
+            return [ge_atom(coeffs, -1, const)]
+        if head == "<":
+            return [ge_atom(coeffs, -1, const + 1)]
+        return [ge_atom(coeffs, 1, -const), ge_atom(coeffs, -1, const)]
     raise SolverInputError(f"unsupported atom {node!r}")
 
 
@@ -200,9 +201,7 @@ def to_disjuncts(node, variables: set[str]) -> list[list[GeAtom]]:
             coeffs: dict[str, int] = {}
             const = linear(sub[1], coeffs, 1, variables)
             const += linear(sub[2], coeffs, -1, variables)
-            lt = GeAtom(tuple(sorted((v, -c) for v, c in coeffs.items())), const + 1)
-            gt = GeAtom(tuple(sorted(coeffs.items())), -const + 1)
-            return [[gt], [lt]]
+            return [[ge_atom(coeffs, 1, -const + 1)], [ge_atom(coeffs, -1, const + 1)]]
         if sub[0] == "or":
             raise SolverInputError("nested disjunction beyond or-of-and is unsupported")
         return [atom_to_ge(sub, variables)]
@@ -400,11 +399,16 @@ def main(argv: list[str] | None = None) -> int:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    try:
-        return run(text)
-    except SolverInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # HiGHS can print diagnostics to fd 1 itself; answers go to a copy of
+    # fd 1 while fd 1 points at stderr, so they never mix with the verdict
+    sys.stdout.flush()
+    with os.fdopen(os.dup(1), "w") as answers:
+        os.dup2(2, 1)
+        try:
+            return run(text, answers)
+        except SolverInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttubs.constraints import (
-    build_constraint_set,
-    build_e2e_constraints,
-    build_flow_constraints,
-    build_frame_constraints,
-    build_isolation_constraints,
-    build_link_constraints,
-    census,
-    validate_schedule,
-)
+from ttubs.constraints import build_constraint_set, census, validate_schedule
 from ttubs.harness import ChainSpec, gen_chain
 from ttubs.model import InvalidInputError, Scenario, Stream
 from ttubs.schedule import Schedule
@@ -18,8 +9,12 @@ from ttubs.schedule import Schedule
 US = 1_000
 
 
+def _family(scenario, category, mode="nfic"):
+    return [gc for gc in build_constraint_set(scenario, mode).constraints if gc.category == category]
+
+
 def test_frame_constraints_adas(adas):
-    cons = build_frame_constraints(adas)
+    cons = _family(adas, "frame")
     assert len(cons) == 18
     cam1_sw = [c for c in cons if "cam1@SW2->SW1#0" in c.label]
     assert len(cam1_sw) == 1
@@ -37,13 +32,13 @@ def test_frame_constraint_forces_zero_when_window_exact():
         (Link("A", "B", 1_000_000_000),),
         (Stream("s", 9_776, 1200, 1200, (("A", "B"),), 9_776, 0),),
     )
-    (gc,) = build_frame_constraints(sc)
+    (gc,) = _family(sc, "frame")
     lo, hi = gc.disjuncts[0]
     assert hi.const == 0
 
 
 def test_link_constraints_adas(adas):
-    cons = build_link_constraints(adas)
+    cons = _family(adas, "link")
     assert len(cons) == 26
     per_link = {}
     for c in cons:
@@ -53,7 +48,7 @@ def test_link_constraints_adas(adas):
 
 
 def test_link_constraint_rejects_equal_offsets(adas):
-    cons = build_link_constraints(adas)
+    cons = _family(adas, "link")
     c = next(x for x in cons if "cam1#0 vs cam2#0" in x.label and "SW2->SW1" in x.label)
     vars_used = {v for conj in c.disjuncts for a in conj for v, _ in a.terms}
     same = {v: 10_000 for v in vars_used}
@@ -61,7 +56,7 @@ def test_link_constraint_rejects_equal_offsets(adas):
 
 
 def test_flow_constraints_adas(adas):
-    cons = build_flow_constraints(adas)
+    cons = _family(adas, "flow")
     assert len(cons) == 12
     # published offsets satisfy the camera chain with 1 224 ns margin
     c = next(x for x in cons if "cam1" in x.label and "SW2->SW1#0 => SW1->CentralHost#0" in x.label)
@@ -72,7 +67,7 @@ def test_flow_constraints_adas(adas):
 
 def test_flow_constraint_clock_offset_tightens(adas):
     skewed = Scenario(adas.nodes, adas.links, adas.streams, sync_precision_ns=1_000)
-    cons = build_flow_constraints(skewed)
+    cons = _family(skewed, "flow")
     c = next(x for x in cons if "cam1" in x.label and "SW2->SW1#0 => SW1->CentralHost#0" in x.label)
     atom = c.disjuncts[0][0]
     # margin is 1 224 ns: a 1 000 ns clock offset still fits, 32 -> 31 us does not
@@ -81,7 +76,7 @@ def test_flow_constraint_clock_offset_tightens(adas):
 
 
 def test_e2e_constraints_adas(adas):
-    cons = build_e2e_constraints(adas)
+    cons = _family(adas, "e2e")
     assert len(cons) == 6
     c = next(x for x in cons if x.label == "e2e[cam1#0->0]")
     atom = c.disjuncts[0][0]
@@ -91,9 +86,9 @@ def test_e2e_constraints_adas(adas):
 
 
 def test_isolation_constraints_adas(adas):
-    wa = build_isolation_constraints(adas, "wa")
+    wa = _family(adas, "isolation", "wa")
     assert len(wa) == 26
-    assert build_isolation_constraints(adas, "nfic") == []
+    assert _family(adas, "isolation", "nfic") == []
     # different queues satisfy a pair regardless of timing
     c = next(x for x in wa if "SW1->CentralHost: cam1#0 vs cam2#0" in x.label)
     assert len(c.disjuncts) == 3

@@ -9,12 +9,12 @@ from ttubs.constraints import census
 from ttubs.harness import (
     ChainSpec,
     ExperimentPlan,
-    census_csv,
     fault_preset,
     gen_chain,
     replay_fixture,
     report_census,
     report_metrics,
+    rows_to_csv,
     run_census_study,
     run_solver_study,
 )
@@ -63,7 +63,7 @@ def test_census_study_rows():
     row = rows[0]
     assert row["devices"] == 4 and row["streams"] == 5
     assert row["mean_total"] == pytest.approx(row["mean_total_nfic"] + row["mean_isolation"])
-    text = census_csv(rows)
+    text = rows_to_csv(rows)
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert parsed[0]["devices"] == "4"
 

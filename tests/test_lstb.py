@@ -97,3 +97,14 @@ def test_nfic_dominates_fic(seed):
         nfic = lstb_solve(sc, "nfic", LstbLimits(max_backjumps=5000, wall_clock_s=10))
         assert nfic.status == "sat"
         assert nfic.backjumps <= fic.backjumps
+
+
+@pytest.mark.parametrize("deadline, status", [(100 * US, "sat"), (100, "infeasible")])
+def test_single_hop_deadline(deadline, status):
+    # the 976 ns wire time alone misses a 100 ns deadline
+    sc = _direct([Stream("s", 1_000 * US, 100, 100, (("A", "B"),), deadline, 0)])
+    for mode, check in (("nfic", "nfic"), ("fic", "wa")):
+        res = lstb_solve(sc, mode)
+        assert res.status == status
+        if status == "sat":
+            assert validate_schedule(sc, res.schedule, check) == []

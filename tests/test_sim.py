@@ -8,7 +8,6 @@ from ttubs.sim import (
     MeterState,
     SimConfig,
     eligibility_decision,
-    gcl_gate_state,
     run,
 )
 
@@ -65,9 +64,9 @@ def test_displacement_keeps_newest(adas, dep3):
 
 def test_gcl_gate_state(adas, dep3):
     gcl = dep3.gcls[("SW1", "CentralHost")]
-    assert gcl_gate_state(gcl, 22_000)[4]
-    assert gcl_gate_state(gcl, CYCLE) == gcl_gate_state(gcl, 0)
-    between = gcl_gate_state(gcl, 15_000)
+    assert gcl.gates_at(22_000)[4]
+    assert gcl.gates_at(CYCLE) == gcl.gates_at(0)
+    between = gcl.gates_at(15_000)
     assert not between[4] and between[0]
 
 

@@ -1,8 +1,13 @@
-import pytest
+import hashlib
+import sys
 from dataclasses import replace
 
+import pytest
+
+from ttubs import constraints, model
 from ttubs.constraints import build_constraint_set, validate_schedule
-from ttubs.model import InvalidInputError, Scenario
+from ttubs.harness import ChainSpec, gen_chain
+from ttubs.model import InvalidInputError, Link, Scenario, Stream
 from ttubs.smt import (
     ModelParseError,
     SolveRequest,
@@ -42,6 +47,23 @@ def test_encode_empty_scenario():
     text = encode(build_constraint_set(sc, "nfic"))
     assert "(assert" not in text and "declare-const" not in text
     assert "(check-sat)" in text
+
+
+# sha256 of the SMT-LIB text, pinned so that changes to how the constraint
+# system is built keep the encoding byte-identical
+ENCODE_DIGESTS = {
+    ("adas", "nfic"): "33af4695f8c6e82f8ad915d5bfa24468c0969405858917115c2456fea3ee2b63",
+    ("adas", "wa"): "86dd9cfb77666e1e3695b969f820162f68288523576458d33e7b4ef91975871c",
+    ("chain", "nfic"): "87a69dab14f43147869cf275018c4c691407f0305df1a01b61a71e15269ed792",
+    ("chain", "wa"): "bce574799ab4925ff41a53173cb5b3c3f78b6636a9fb837a8eb92a4c411a10e2",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(ENCODE_DIGESTS))
+def test_encode_digest_pinned(adas, name, mode):
+    sc = adas if name == "adas" else gen_chain(ChainSpec(4, 30, rng_seed=7))
+    text = encode(build_constraint_set(sc, mode))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENCODE_DIGESTS[(name, mode)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +146,14 @@ def test_bundled_solver_rejects_unbounded():
         _run_text("(declare-const x Int)(assert (>= x 0))(check-sat)")
 
 
+def test_bundled_solver_drops_zero_coefficients():
+    # a single-hop e2e atom subtracts a variable from itself
+    box = "(declare-const x Int)(assert (and (>= x 0) (<= x 9)))"
+    assert _run_text(box + "(assert (<= (- x x) 3))(check-sat)").strip() == "sat"
+    assert _run_text(box + "(assert (<= (- x x) (- 3)))(check-sat)").strip() == "unsat"
+    assert _run_text(box + "(assert (distinct x x))(check-sat)").strip() == "unsat"
+
+
 def test_bundled_solver_not_normalization():
     out = _run_text(
         "(declare-const x Int)"
@@ -178,3 +208,49 @@ def test_solve_process_failure_is_not_unsat(adas):
 def test_solve_rejects_zero_timeout(adas):
     with pytest.raises(InvalidInputError):
         SolveRequest(adas, "nfic", timeout_s=0)
+
+
+def _single_hop(deadline_ns):
+    return Scenario(
+        (("A", "end-station"), ("B", "end-station")),
+        (Link("A", "B", 1_000_000_000),),
+        (Stream("s", 1_000_000, 100, 100, (("A", "B"),), deadline_ns, 0),),
+    )
+
+
+@pytest.mark.parametrize("mode", ["nfic", "wa"])
+@pytest.mark.parametrize("deadline, status", [(100_000, "sat"), (100, "unsat")])
+def test_solve_single_hop_stream(mode, deadline, status):
+    # the 976 ns wire time alone misses a 100 ns deadline
+    sc = _single_hop(deadline)
+    out = solve(SolveRequest(sc, mode, timeout_s=120))
+    assert out.status == status
+    if status == "sat":
+        assert validate_schedule(sc, out.schedule, mode) == []
+
+
+def test_solve_ignores_highs_diagnostics_on_stdout():
+    # HiGHS prints a transformNewIntegerFeasibleSolution line to fd 1 here
+    sc = gen_chain(ChainSpec(3, 20, rng_seed=1187325973))
+    out = solve(SolveRequest(sc, "wa", timeout_s=120))
+    assert out.status == "sat"
+    assert validate_schedule(sc, out.schedule, "wa") == []
+
+
+def test_solve_builds_constraint_set_once(adas, monkeypatch):
+    calls = {}
+    for fn in (constraints.build_constraint_set, model.expand_frame_instances):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        # every binding of the function, as in `from .x import f`
+        for name, mod in list(sys.modules.items()):
+            if (name == "ttubs" or name.startswith("ttubs.")) and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    out = solve(SolveRequest(adas, "wa", timeout_s=120))
+    assert out.status == "sat"
+    assert out.constraint_census.total == 88
+    assert calls == {"build_constraint_set": 1, "expand_frame_instances": 1}
