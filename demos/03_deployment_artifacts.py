@@ -37,7 +37,7 @@ for sid in ("cam1", "cam2", "radar", "control"):
 
 # A frame's journey, hop by hop, for the largest camera frame:
 talker_tx, hops = latency_breakdown(scenario, "cam1", table, 1200, slot=0)
-print(f"\ncamera-1 breakdown (payload 1200 B): talker wire {ns_to_us_str(talker_tx)} us")
+print(f"\ncamera-1 breakdown (payload 1200 B): talker link {ns_to_us_str(talker_tx)} us")
 for i, h in enumerate(hops, 1):
     print(f"  hop {i}: shaped-queue wait {ns_to_us_str(h.shaped_queue_ns):>6s} us, "
           f"transmission {ns_to_us_str(h.transmission_ns)} us")

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .model import InvalidInputError, Scenario, Stream, bytes_to_duration, ns_to_us_str
+from .model import N_QUEUES, InvalidInputError, Scenario, Stream, bytes_to_duration, ns_to_us_str
 from .schedule import Schedule
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 LinkKey = tuple[str, str]
-N_QUEUES = 8
 
 
 @dataclass(frozen=True)
@@ -342,16 +341,16 @@ def _stream_of(scenario: Scenario, stream: str) -> Stream:
 
 def e2e_per_slot(scenario: Scenario, stream: str, table: ShaperOffsetTable, payload: int) -> list[int]:
     """Closed-form end-to-end latency per slot: last-hop eligibility minus
-    talker send time plus the payload's wire time on the last link.
-    Assumes the deployment's zero forwarding/propagation defaults."""
+    talker send time plus the payload's arrival lag on the last link (wire
+    time and propagation)."""
     s = _stream_of(scenario, stream)
     if not table.has_stream(stream):
         raise InvalidInputError(f"stream {stream!r} absent from table")
     first = table.row_for(stream, s.route[0])
     last = table.row_for(stream, s.route[-1])
-    tx = bytes_to_duration(payload, scenario.link(s.route[-1]).rate_bps)
+    tail = scenario.arrival_lag_ns(s.route[-1], bytes_to_duration(payload, scenario.link(s.route[-1]).rate_bps))
     return [
-        (em - e0) + tx
+        (em - e0) + tail
         for e0, em in zip(first.eligibility_offsets_ns, last.eligibility_offsets_ns)
     ]
 
@@ -379,28 +378,24 @@ def e2e_bounds_and_jitter(
 def latency_breakdown(
     scenario: Scenario, stream: str, table: ShaperOffsetTable, payload: int, slot: int = 0
 ) -> tuple[int, list[LatencyBreakdown]]:
-    """(talker wire time, per switch-hop delay components) for one frame.
+    """(talker link time, per switch-hop delay components) for one frame.
 
-    The talker wire time plus the hop totals equals the closed form for the
-    same payload and slot."""
+    The talker link time is the wire time plus propagation on the first
+    link; each switch hop counts the switch's processing delay, its wait
+    for eligibility and its outgoing link.  The talker link time plus the
+    hop totals equals the closed form for the same payload and slot."""
     s = _stream_of(scenario, stream)
-    rows = [table.row_for(stream, key) for key in s.route]
-    out: list[LatencyBreakdown] = []
-    prev_elig = rows[0].eligibility_offsets_ns[slot]
-    for hop in range(1, len(s.route)):
-        link_prev = scenario.link(s.route[hop - 1])
-        link_here = scenario.link(s.route[hop])
-        arrival = prev_elig + bytes_to_duration(payload, link_prev.rate_bps) + link_prev.prop_delay_ns
-        elig = rows[hop].eligibility_offsets_ns[slot]
-        out.append(
-            LatencyBreakdown(
-                shaped_queue_ns=elig - arrival,
-                forwarding_ns=0,
-                shared_queue_ns=0,
-                transmission_ns=bytes_to_duration(payload, link_here.rate_bps),
-                propagation_ns=link_here.prop_delay_ns,
-            )
+    elig = [table.row_for(stream, key).eligibility_offsets_ns[slot] for key in s.route]
+    wire = [bytes_to_duration(payload, scenario.link(key).rate_bps) for key in s.route]
+    delays = [scenario.link_delays_ns(key) for key in s.route]
+    out = [
+        LatencyBreakdown(
+            shaped_queue_ns=elig[h] - elig[h - 1] - scenario.arrival_lag_ns(s.route[h - 1], wire[h - 1]),
+            forwarding_ns=delays[h - 1][1],
+            shared_queue_ns=0,
+            transmission_ns=wire[h],
+            propagation_ns=delays[h][0],
         )
-        prev_elig = elig
-    talker_tx = bytes_to_duration(payload, scenario.link(s.route[0]).rate_bps)
-    return talker_tx, out
+        for h in range(1, len(s.route))
+    ]
+    return wire[0] + delays[0][0], out

@@ -7,7 +7,7 @@ Five constraint families are generated from a scenario:
 * link         -- reserved windows on one link never overlap
 * flow         -- a hop's window starts only after the frame fully arrived
                   from the upstream hop (clock offset included)
-* e2e          -- last-hop completion minus first-hop start meets the
+* e2e          -- delivery at the listener minus first-hop start meets the
                   stream deadline
 * isolation    -- two streams may share an egress queue only if one frame
                   has left the queue before the other arrives, or they are
@@ -229,15 +229,13 @@ def _link_constraints(scenario: Scenario, on_link: dict[LinkKey, list[Stream]], 
 
 def _flow_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
     """Hop ordering along each route: the downstream window opens only after
-    full arrival from upstream plus propagation, processing and the worst
-    clock offset between the two devices."""
+    the upstream hop lag (:meth:`Scenario.hop_lag_ns`): full arrival,
+    processing and the worst clock offset between the two devices."""
     out = []
-    delta = scenario.sync_precision_ns
     for s in scenario.streams:
         for up_key, down_key in zip(s.route, s.route[1:]):
             up = by[(s.id, up_key)]
-            link_up = scenario.link(up_key)
-            lag = up[0].duration_ns + link_up.prop_delay_ns + link_up.proc_delay_ns + delta
+            lag = scenario.hop_lag_ns(up_key, up[0].duration_ns)
             for fu, fd in zip(up, by[(s.id, down_key)]):
                 # both offsets displace by the same period index, so the
                 # slot terms cancel and only the arrival lag remains
@@ -253,30 +251,31 @@ def _flow_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
 
 
 def _e2e_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
-    """Per stream and slot: last-hop completion minus first-hop start stays
-    within the stream deadline."""
+    """Per stream and slot: delivery at the listener minus first-hop start
+    stays within the stream deadline."""
     out = []
     for s in scenario.streams:
-        for ff, fl in zip(by[(s.id, s.route[0])], by[(s.id, s.route[-1])]):
+        last = by[(s.id, s.route[-1])]
+        slack = s.e2e_deadline_ns - scenario.arrival_lag_ns(s.route[-1], last[0].duration_ns)
+        for ff, fl in zip(by[(s.id, s.route[0])], last):
             # the period displacement cancels between first and last hop
-            atom = _le(((fl.var_name, 1), (ff.var_name, -1)), s.e2e_deadline_ns - fl.duration_ns)
+            atom = _le(((fl.var_name, 1), (ff.var_name, -1)), slack)
             out.append(GroundConstraint("e2e", ((atom,),), f"e2e[{s.id}#{ff.slot}->{fl.slot}]"))
     return out
 
 
 def _arrivals(scenario: Scenario, s: Stream, egress: LinkKey, by: _Index) -> list[tuple[str, int]]:
     """Per egress slot, (var name, folded constant) of the stream's arrival
-    at the device feeding `egress`: the upstream absolute offset plus
-    upstream wire time, upstream propagation delay and the worst clock
-    offset.  On a stream's first hop the "upstream offset" is its talker
-    send offset on that very link and no wire/propagation time is added."""
-    delta = scenario.sync_precision_ns
+    at the device feeding `egress`: the upstream absolute offset plus the
+    hop lag the flow constraints use.  On a stream's first hop the frame is
+    at its talker from its own send offset on that very link."""
     hop = s.route.index(egress)
     if hop == 0:
-        return [(fi.var_name, fi.slot * s.period_ns + delta) for fi in by[(s.id, egress)]]
+        return [(fi.var_name, fi.slot * s.period_ns) for fi in by[(s.id, egress)]]
     up_key = s.route[hop - 1]
-    lag = scenario.link(up_key).prop_delay_ns + delta
-    return [(fu.var_name, fu.slot * s.period_ns + fu.duration_ns + lag) for fu in by[(s.id, up_key)]]
+    ups = by[(s.id, up_key)]
+    lag = scenario.hop_lag_ns(up_key, ups[0].duration_ns)
+    return [(fu.var_name, fu.slot * s.period_ns + lag) for fu in ups]
 
 
 def _isolation_constraints(

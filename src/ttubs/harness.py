@@ -114,8 +114,6 @@ def gen_chain(spec: ChainSpec) -> Scenario:
                 route=tuple(route),
                 e2e_deadline_ns=period,
                 jitter_req_ns=period // 10,
-                queue=4,
-                priority=k,
             )
         )
     return Scenario(

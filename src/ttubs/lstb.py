@@ -90,12 +90,12 @@ class _Search:
         self.slot_base = [fi.slot * fi.period_ns for fi in frames]
         self.window_hi = [fi.period_ns - fi.duration_ns for fi in frames]
         self.upstream: list[int | None] = [None] * n
-        self.flow_lag = [0] * n
+        self.lag = [0] * n  # upstream start to arrival here: flow bound and isolation alike
         self.first_idx: list[int | None] = [None] * n  # set on last hops only
         self.e2e_slack = [0] * n
         self.iso_checked = [False] * n
         self.queue_of = [NFIC_QUEUE] * n
-        delta = scenario.sync_precision_ns
+        reach = [0] * n  # least time from the first hop's start to this start
         for i, fi in enumerate(frames):
             self.on_link.setdefault(fi.link, []).append(i)
             s = streams[fi.stream]
@@ -103,32 +103,19 @@ class _Search:
                 up_key = s.route[fi.hop - 1]
                 up = index_of[(fi.stream, up_key, fi.slot)]
                 self.upstream[i] = up
-                link_up = scenario.link(up_key)
-                self.flow_lag[i] = (
-                    frames[up].duration_ns
-                    + link_up.prop_delay_ns
-                    + link_up.proc_delay_ns
-                    + delta
-                )
+                self.lag[i] = scenario.hop_lag_ns(up_key, frames[up].duration_ns)
+                reach[i] = reach[up] + self.lag[i]
             if fi.hop == len(s.route) - 1:
-                if fi.hop > 0:
-                    self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
-                    self.e2e_slack[i] = s.e2e_deadline_ns - fi.duration_ns
-                elif s.e2e_deadline_ns < fi.duration_ns:
-                    # a single hop meets its deadline at every offset or at
-                    # none: an empty window makes the frame infeasible
+                slack = s.e2e_deadline_ns - scenario.arrival_lag_ns(fi.link, fi.duration_ns)
+                if slack < reach[i]:
+                    # the deadline is below the route's least latency: no
+                    # offsets meet it, so an empty window makes it infeasible
                     self.window_hi[i] = -1
+                elif fi.hop > 0:
+                    self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
+                    self.e2e_slack[i] = slack
             self.iso_checked[i] = mode == "fic" and kinds.get(fi.link[0]) == "switch"
             self.queue_of[i] = self.queues.get((fi.stream, fi.link), NFIC_QUEUE)
-        # arrival lag of a frame at its own device: upstream wire time + prop
-        self.arrival_lag = [0] * n
-        for i, fi in enumerate(frames):
-            up = self.upstream[i]
-            if up is not None:
-                link_up = scenario.link(frames[up].link)
-                self.arrival_lag[i] = frames[up].duration_ns + link_up.prop_delay_ns + delta
-            else:
-                self.arrival_lag[i] = delta
 
     def abs_offset(self, i: int) -> int:
         return self.offsets[i] + self.slot_base[i]
@@ -136,8 +123,8 @@ class _Search:
     def arrival_at(self, i: int) -> int:
         up = self.upstream[i]
         if up is None:
-            return self.abs_offset(i) + self.arrival_lag[i]
-        return self.abs_offset(up) + self.arrival_lag[i]
+            return self.abs_offset(i)
+        return self.abs_offset(up) + self.lag[i]
 
     def next_feasible_offset(self, i: int) -> tuple[int | None, set[int]]:
         """Smallest slot-relative offset for frame ``i`` compatible with the
@@ -153,7 +140,7 @@ class _Search:
         lo = self.floors[i]
         up = self.upstream[i]
         if up is not None:
-            flow_lb = self.offsets[up] + self.flow_lag[i]
+            flow_lb = self.offsets[up] + self.lag[i]
             if flow_lb > lo:
                 lo = flow_lb
             blockers.add(up)

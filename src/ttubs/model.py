@@ -17,10 +17,12 @@ from typing import Sequence
 ETHERNET_OVERHEAD_BYTES = 22  # headers + checksum added on top of the payload
 MAX_PAYLOAD_BYTES = 1500
 NS_PER_US = 1_000
+N_QUEUES = 8  # shared egress queues per port: gate lists and the simulator have this many
 
 __all__ = [
     "ETHERNET_OVERHEAD_BYTES",
     "MAX_PAYLOAD_BYTES",
+    "N_QUEUES",
     "InvalidInputError",
     "Link",
     "Stream",
@@ -72,8 +74,6 @@ class Stream:
     route: tuple[tuple[str, str], ...]
     e2e_deadline_ns: int
     jitter_req_ns: int
-    queue: int = 4
-    priority: int = 0
 
     @property
     def talker(self) -> str:
@@ -102,13 +102,37 @@ class Scenario:
         except KeyError:
             raise InvalidInputError(f"unknown link {key[0]}->{key[1]}") from None
 
-    @property
+    @cached_property
     def _link_index(self) -> dict[tuple[str, str], Link]:
-        idx = self.__dict__.get("_link_index_cache")
-        if idx is None:
-            idx = {ln.key: ln for ln in self.links}
-            self.__dict__["_link_index_cache"] = idx
-        return idx
+        return {ln.key: ln for ln in self.links}
+
+    @cached_property
+    def _kinds(self) -> dict[str, str]:
+        return dict(self.nodes)
+
+    # The delay model.  Constraints, lstb, the closed form and the
+    # simulator all read per-hop delays from these three methods.
+
+    def link_delays_ns(self, key: tuple[str, str]) -> tuple[int, int]:
+        """(propagation, processing) a frame meets after its last bit leaves
+        link ``key``.  Processing is the far-end switch's ``proc_delay_ns``;
+        a link into an end-station has none."""
+        ln = self.link(key)
+        proc = ln.proc_delay_ns if self._kinds.get(ln.dst) == "switch" else 0
+        return ln.prop_delay_ns, proc
+
+    def arrival_lag_ns(self, key: tuple[str, str], wire_ns: int) -> int:
+        """Time from a frame's start on link ``key`` until the far end holds
+        it, with ideal clocks: wire time, propagation and the far-end
+        switch's processing.  On a route's last link this is delivery."""
+        prop, proc = self.link_delays_ns(key)
+        return wire_ns + prop + proc
+
+    def hop_lag_ns(self, key: tuple[str, str], wire_ns: int) -> int:
+        """Scheduled time from a frame's start on link ``key`` to its
+        earliest start on the next link of its route: the arrival lag plus
+        ``sync_precision_ns`` as margin for the forwarding device's clock."""
+        return self.arrival_lag_ns(key, wire_ns) + self.sync_precision_ns
 
     def streams_on_link(self, key: tuple[str, str]) -> list[Stream]:
         return [s for s in self.streams if key in s.route]
@@ -213,8 +237,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         seen_links.add(ln.key)
         if ln.rate_bps <= 0:
             defects.append(f"link {ln}: rate must be positive")
-        if ln.queue_count < 1:
-            defects.append(f"link {ln}: queue_count must be >= 1")
+        if not 1 <= ln.queue_count <= N_QUEUES:
+            defects.append(f"link {ln}: queue_count must be in 1..{N_QUEUES}")
         if ln.prop_delay_ns < 0 or ln.proc_delay_ns < 0:
             defects.append(f"link {ln}: negative delay")
         for end in ln.key:
@@ -290,8 +314,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "route": [[a, b] for a, b in s.route],
                 "e2e_deadline_ns": s.e2e_deadline_ns,
                 "jitter_req_ns": s.jitter_req_ns,
-                "queue": s.queue,
-                "priority": s.priority,
             }
             for s in scenario.streams
         ],
@@ -323,8 +345,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 route=tuple((a, b) for a, b in s["route"]),
                 e2e_deadline_ns=int(s["e2e_deadline_ns"]),
                 jitter_req_ns=int(s["jitter_req_ns"]),
-                queue=int(s.get("queue", 4)),
-                priority=int(s.get("priority", 0)),
             )
             for s in doc["streams"]
         ),

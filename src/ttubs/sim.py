@@ -15,6 +15,10 @@ Switch egress runs in one of two modes:
   at most one frame per shaped queue (a newer arrival displaces an older
   held frame).  Shared-queue gates for time-triggered traffic stay open.
 
+Propagation and, at a switch, its processing delay pass between a frame's
+last bit leaving the sender and its arrival event (``arrival_lag_ns``), so
+a fault meter sees a frame after processing.  Clocks are ideal.
+
 Ingress carries per-stream filter chains; a fault meter bound to a chain
 can drop or delay designated frames.  A delayed frame holds back later
 frames of its own chain (released in order with it), other chains are
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import Deployment
-from .model import InvalidInputError, Scenario, bytes_to_duration
+from .model import N_QUEUES, InvalidInputError, Scenario, bytes_to_duration
 from .schedule import NFIC_QUEUE
 
 __all__ = [
@@ -183,18 +187,18 @@ class _ShapedQueue:
 
 class _Port:
     __slots__ = (
-        "link", "mode", "rate", "prop", "dst", "busy_until", "queues",
+        "link", "mode", "rate", "lag", "dst", "busy_until", "queues",
         "gcl", "shaped", "next_wake",
     )
 
-    def __init__(self, link, mode, rate, prop, dst, gcl):
+    def __init__(self, link, mode, rate, lag, dst, gcl):
         self.link = link
         self.mode = mode  # "direct" | "tas" | "ttubs"
         self.rate = rate
-        self.prop = prop
+        self.lag = lag  # last bit sent to frame held at dst: propagation + processing
         self.dst = dst
         self.busy_until = 0
-        self.queues = [[] for _ in range(8)]  # FIFO via index head pointer-free pops
+        self.queues = [[] for _ in range(N_QUEUES)]  # FIFO via index head pointer-free pops
         self.gcl = gcl
         self.shaped: dict[int, _ShapedQueue] = {}
         self.next_wake: int | None = None
@@ -235,7 +239,7 @@ class _Engine:
                 gcl = dep.gcls.get(ln.key)
                 if mode == "tas" and gcl is None and scenario.streams_on_link(ln.key):
                     raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
-            self.ports[ln.key] = _Port(ln.key, mode, ln.rate_bps, ln.prop_delay_ns, ln.dst, gcl)
+            self.ports[ln.key] = _Port(ln.key, mode, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), ln.dst, gcl)
 
         # shaped queues + shared-queue assignment per (stream, link)
         self.queue_idx: dict[tuple[int, LinkKey], int] = {}
@@ -419,7 +423,7 @@ class _Engine:
             return
         gcl = port.gcl if port.mode == "tas" else None
         best_retry: int | None = None
-        for q in range(7, -1, -1):
+        for q in range(N_QUEUES - 1, -1, -1):
             dq = port.queues[q]
             while dq:
                 head = dq[0]
@@ -432,7 +436,7 @@ class _Engine:
                     dq.pop(0)
                     port.busy_until = t + head.dur
                     self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
-                    self.push(t + head.dur + port.prop, PH_ARRIVAL, (head, port.link))
+                    self.push(t + head.dur + port.lag, PH_ARRIVAL, (head, port.link))
                     self.wake(port, port.busy_until)
                     return
                 nxt = gcl.next_fit_start(q, t, head.dur)

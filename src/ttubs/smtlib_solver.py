@@ -120,10 +120,6 @@ class GeAtom:
     coeffs: tuple[tuple[str, int], ...]
     const: int
 
-    def negated(self) -> "GeAtom":
-        # not(lhs >= c)  <=>  lhs <= c-1  <=>  -lhs >= 1-c   (integers)
-        return GeAtom(tuple((v, -c) for v, c in self.coeffs), 1 - self.const)
-
 
 def ge_atom(coeffs: dict[str, int], sign: int, const: int) -> GeAtom:
     """``sign * sum(coeffs * vars) >= const``; zero coefficients are dropped,
@@ -311,7 +307,7 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
 
     lower = np.array([float(lo[v]) for v in variables] + [float(x) for x in extra_lo])
     upper = np.array([float(hi[v]) for v in variables] + [float(x) for x in extra_hi])
-
+    constraints = None
     if rows_idx:
         data, rcols, rrows = [], [], []
         for r, (idx, val) in enumerate(zip(rows_idx, rows_val)):
@@ -320,29 +316,36 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
             data.extend(val)
         a_mat = sparse.csr_matrix((data, (rrows, rcols)), shape=(len(rows_idx), n_cols))
         constraints = LinearConstraint(a_mat, lb=np.array(rows_lb), ub=np.inf)
-        res = milp(
-            c=np.zeros(n_cols),
-            constraints=constraints,
-            integrality=np.ones(n_cols),
-            bounds=Bounds(lower, upper),
-        )
-    else:
-        res = milp(c=np.zeros(n_cols), integrality=np.ones(n_cols), bounds=Bounds(lower, upper))
 
+    def highs():
+        return milp(
+            c=np.zeros(n_cols), constraints=constraints, integrality=np.ones(n_cols), bounds=Bounds(lower, upper)
+        )
+
+    def checked_model(res) -> dict[str, int] | None:
+        """The rounded solution if HiGHS found one and it passes the exact
+        re-check of every assertion, else None."""
+        if res.status != 0 or res.x is None:
+            return None
+        values = {v: int(round(res.x[col[v]])) for v in variables}
+        holds = all(
+            any(all(sum(c * values[v] for v, c in a.coeffs) >= a.const for a in conj) for conj in disjuncts)
+            for disjuncts in problems
+        )
+        return values if holds else None
+
+    res = highs()
     if res.status == 2:
         return "unsat", None
-    if res.status != 0 or res.x is None:
-        return "unknown", None
-    values = {v: int(round(res.x[col[v]])) for v in variables}
-
-    # exact re-check of every assertion on the rounded integers
-    def atom_holds(atom: GeAtom) -> bool:
-        return sum(c * values[v] for v, c in atom.coeffs) >= atom.const
-
-    for disjuncts in problems:
-        if not any(all(atom_holds(a) for a in conj) for conj in disjuncts):
-            return "unknown", None
-    return "sat", values
+    values = checked_model(res)
+    if values is None and res.status == 0:
+        # HiGHS accepts an indicator within its integrality tolerance of 0
+        # or 1; times a big-M the size of the box, that residue can break an
+        # atom once the offsets are rounded.  With the indicators fixed to
+        # their rounded values the rows are exact over the offsets alone.
+        lower[n_real:] = upper[n_real:] = np.round(res.x[n_real:])
+        values = checked_model(highs())
+    return ("unknown", None) if values is None else ("sat", values)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def brute_force_feasible(scenario, grid_ns=1_000, node_cap=5_000_000):
             )
         if hop == len(s.route) - 1 and hop > 0:
             first_idx[i] = index_of[(f.stream, s.route[0], f.slot)]
-            deadline[i] = s.e2e_deadline_ns - f.duration_ns
+            deadline[i] = s.e2e_deadline_ns - f.duration_ns - scenario.link(f.link).prop_delay_ns
     same_link = [
         [j for j in range(i) if frames[j].link == frames[i].link and frames[j].stream != frames[i].stream]
         for i in range(n)

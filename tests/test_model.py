@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ttubs.model import (
+    N_QUEUES,
     InvalidInputError,
     Link,
     Scenario,
@@ -132,7 +133,7 @@ def test_validate_detects_broken_route(adas):
             Stream(
                 s.id, s.period_ns, s.payload_min, s.payload_max,
                 (("AV1", "SW2"), ("SW1", "CentralHost")),  # gap: SW2 != SW1
-                s.e2e_deadline_ns, s.jitter_req_ns, s.queue, s.priority,
+                s.e2e_deadline_ns, s.jitter_req_ns,
             )
             if s.id == "cam1"
             else s
@@ -156,3 +157,19 @@ def test_validate_detects_bad_rate(adas):
 
 def test_scenario_json_round_trip(adas):
     assert scenario_from_dict(scenario_to_dict(adas)) == adas
+    # documents that still carry the dropped per-stream queue/priority keys load
+    legacy = scenario_to_dict(adas)
+    for s in legacy["streams"]:
+        s.update(queue=4, priority=0)
+    assert scenario_from_dict(legacy) == adas
+
+
+def test_validate_rejects_more_queues_than_ports_have():
+    # gate lists and simulated ports have N_QUEUES queues; a 12-queue link
+    # with streams on queues 10 and 11 used to pass and crash the simulator
+    nodes = (("A", "end-station"), ("S", "switch"), ("B", "end-station"))
+    links = (Link("A", "S", 1_000_000_000), Link("S", "B", 1_000_000_000, queue_count=12))
+    stream = Stream("s", 100 * US, 100, 100, (("A", "S"), ("S", "B")), 100 * US, 10 * US)
+    assert any("queue_count" in d for d in validate_scenario(Scenario(nodes, links, (stream,))))
+    ok = (links[0], Link("S", "B", 1_000_000_000, queue_count=N_QUEUES))
+    assert validate_scenario(Scenario(nodes, ok, (stream,))) == []

@@ -237,6 +237,15 @@ def test_solve_ignores_highs_diagnostics_on_stdout():
     assert validate_schedule(sc, out.schedule, "wa") == []
 
 
+def test_solve_recovers_when_rounding_breaks_an_atom():
+    # HiGHS returns an indicator of about 2e-7 here; times a big-M near
+    # 2e7 ns it broke an atom once rounded, and the child answered unknown
+    sc = gen_chain(ChainSpec(4, 30, rng_seed=1800804222))
+    out = solve(SolveRequest(sc, "wa", timeout_s=120))
+    assert out.status == "sat"
+    assert validate_schedule(sc, out.schedule, "wa") == []
+
+
 def test_solve_builds_constraint_set_once(adas, monkeypatch):
     calls = {}
     for fn in (constraints.build_constraint_set, model.expand_frame_instances):
