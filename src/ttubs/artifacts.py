@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .model import N_QUEUES, InvalidInputError, Scenario, Stream, bytes_to_duration, ns_to_us_str
 from .schedule import Schedule
@@ -58,9 +61,6 @@ class ShaperOffsetTable:
             if row.stream == stream and row.egress == egress:
                 return row
         raise InvalidInputError(f"no shaper row for {stream} at {egress[0]}->{egress[1]}")
-
-    def has_stream(self, stream: str) -> bool:
-        return any(r.stream == stream for r in self.rows)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -108,63 +108,52 @@ class GateControlList:
                 return iv.gates
         raise InvalidInputError(f"gate control list does not tile position {pos}")
 
-    def open_until(self, queue: int, t: int) -> int | None:
-        """Absolute time the queue's gate closes if open at ``t`` (contiguous
-        open intervals merged, looking at most one full cycle ahead), else
-        None."""
+    @cached_property
+    def windows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per queue, its open (start, end) windows of one cycle, sorted.
+        Touching open intervals form one window, and a window that reaches
+        the cycle end runs on into the next cycle's first window, so the
+        last window may end after ``cycle_time_ns``.  A queue open all
+        cycle has the single window ``(0, cycle_time_ns)``."""
         cycle = self.cycle_time_ns
-        pos = t % cycle
-        base = t - pos
-        idx = None
-        for k, iv in enumerate(self.intervals):
-            if iv.start_ns <= pos < iv.end_ns:
-                idx = k
-                break
-        if idx is None or not self.intervals[idx].gates[queue]:
-            return None
-        end = base + self.intervals[idx].end_ns
-        k = idx
-        for _ in range(2 * len(self.intervals)):
-            k += 1
-            if k == len(self.intervals):
-                k = 0
-                base += cycle
-            iv = self.intervals[k]
-            if not iv.gates[queue]:
-                break
-            end = base + iv.end_ns
-        return end
+        out = []
+        for q in range(N_QUEUES):
+            wins: list[list[int]] = []
+            for iv in self.intervals:
+                if not iv.gates[q]:
+                    continue
+                if wins and wins[-1][1] == iv.start_ns:
+                    wins[-1][1] = iv.end_ns
+                else:
+                    wins.append([iv.start_ns, iv.end_ns])
+            if len(wins) > 1 and wins[0][0] == 0 and wins[-1][1] == cycle:
+                wins[-1][1] = cycle + wins.pop(0)[1]
+            out.append(tuple(map(tuple, wins)))
+        return tuple(out)
 
     def next_fit_start(self, queue: int, t: int, duration: int) -> int | None:
         """Earliest absolute time >= t at which a frame of ``duration`` can
         start so that it completes before the queue's gate closes.  None if
-        no window within one full cycle fits (then none ever will)."""
+        no window of the queue is that long (then none ever will be)."""
+        wins = self.windows[queue]
         cycle = self.cycle_time_ns
-        cand = t
-        horizon = t + 2 * cycle
-        while cand < horizon:
-            until = self.open_until(queue, cand)
-            if until is None:
-                # jump to the next opening of this queue's gate
-                pos = cand % cycle
-                base = cand - pos
-                nxt = None
-                for iv in self.intervals:
-                    if iv.gates[queue] and iv.start_ns > pos:
-                        nxt = base + iv.start_ns
-                        break
-                if nxt is None:
-                    for iv in self.intervals:
-                        if iv.gates[queue]:
-                            nxt = base + cycle + iv.start_ns
-                            break
-                if nxt is None:
-                    return None
-                cand = nxt
-                continue
-            if cand + duration <= until:
-                return cand
-            cand = until
+        if not wins:
+            return None
+        if wins == ((0, cycle),):
+            return t
+        pos = t % cycle
+        base = t - pos
+        n = len(wins)
+        # the first window that ends after pos; -1 is the previous cycle's
+        # last window when it runs on past pos
+        first = -1 if wins[-1][1] - cycle > pos else bisect_right(wins, pos, key=itemgetter(1))
+        # n + 1 windows: the first may hold t, so every window also comes in full
+        for k in range(first, first + n + 1):
+            start, end = wins[k % n]
+            shift = base + k // n * cycle
+            fit = max(t, shift + start)
+            if fit + duration <= shift + end:
+                return fit
         return None
 
     def to_csv(self) -> str:
@@ -344,8 +333,6 @@ def e2e_per_slot(scenario: Scenario, stream: str, table: ShaperOffsetTable, payl
     talker send time plus the payload's arrival lag on the last link (wire
     time and propagation)."""
     s = _stream_of(scenario, stream)
-    if not table.has_stream(stream):
-        raise InvalidInputError(f"stream {stream!r} absent from table")
     first = table.row_for(stream, s.route[0])
     last = table.row_for(stream, s.route[-1])
     tail = scenario.arrival_lag_ns(s.route[-1], bytes_to_duration(payload, scenario.link(s.route[-1]).rate_bps))

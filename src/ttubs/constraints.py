@@ -136,16 +136,28 @@ class ConstraintSet:
 
     def violations(self, schedule: Schedule) -> list[GroundConstraint]:
         """Evaluate every ground constraint on the schedule; returns the
-        violated ones (empty = valid in this set's mode).  Raises
-        :class:`InvalidInputError` when the schedule leaves a variable
-        unassigned."""
+        violated ones (empty = valid in this set's mode), led by a
+        ``domain`` constraint for each free queue variable outside
+        ``[0, domain_max]``.  Raises :class:`InvalidInputError` when the
+        schedule leaves a variable unassigned."""
         assignment: dict[str, int] = {}
         for fi in self.instances:
             absolute = schedule.offset(fi.stream, fi.link, fi.slot)
             assignment[fi.var_name] = absolute - fi.slot * fi.period_ns
+        out = []
         for qv in self.queue_vars:
-            assignment[qv.name] = qv.fixed if qv.fixed is not None else schedule.queue_of(qv.stream, qv.link)
-        return [gc for gc in self.constraints if not gc.holds(assignment)]
+            if qv.fixed is not None:
+                assignment[qv.name] = qv.fixed
+                continue
+            q = assignment[qv.name] = schedule.queue_of(qv.stream, qv.link)
+            if not 0 <= q <= qv.domain_max:
+                var = ((qv.name, 1),)
+                out.append(GroundConstraint(
+                    "domain",
+                    ((Atom(var, ">=", 0), Atom(var, "<=", qv.domain_max)),),
+                    f"domain[{qv.stream}@{qv.link[0]}->{qv.link[1]}: queue {q} not in 0..{qv.domain_max}]",
+                ))
+        return out + [gc for gc in self.constraints if not gc.holds(assignment)]
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ class _Port:
         self.lag = lag  # last bit sent to frame held at dst: propagation + processing
         self.dst = dst
         self.busy_until = 0
-        self.queues = [[] for _ in range(N_QUEUES)]  # FIFO via index head pointer-free pops
+        self.queues = [[] for _ in range(N_QUEUES)]
         self.gcl = gcl
         self.shaped: dict[int, _ShapedQueue] = {}
         self.next_wake: int | None = None
@@ -427,25 +427,20 @@ class _Engine:
             dq = port.queues[q]
             while dq:
                 head = dq[0]
-                if gcl is None:
-                    start_ok = True
-                else:
-                    until = gcl.open_until(q, t)
-                    start_ok = until is not None and t + head.dur <= until
-                if start_ok:
+                start = t if gcl is None else gcl.next_fit_start(q, t, head.dur)
+                if start == t:
                     dq.pop(0)
                     port.busy_until = t + head.dur
                     self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
                     self.push(t + head.dur + port.lag, PH_ARRIVAL, (head, port.link))
                     self.wake(port, port.busy_until)
                     return
-                nxt = gcl.next_fit_start(q, t, head.dur)
-                if nxt is None:
+                if start is None:
                     dq.pop(0)
                     self.drop(t, port.link[0], head, "stranded", "stranded")
                     continue
-                if best_retry is None or nxt < best_retry:
-                    best_retry = nxt
+                if best_retry is None or start < best_retry:
+                    best_retry = start
                 break
         if best_retry is not None:
             self.wake(port, best_retry)

@@ -87,10 +87,7 @@ def _atom_sexpr(atom: Atom) -> str:
         return f"({atom.op} {terms[0][0]} {rhs})"
     if len(terms) == 2 and terms[0][1] == 1 and terms[1][1] == -1:
         return f"({atom.op} (- {terms[0][0]} {terms[1][0]}) {rhs})"
-    parts = " ".join(
-        v if c == 1 else f"(* {c} {v})" if c >= 0 else f"(* (- {-c}) {v})" for v, c in terms
-    )
-    return f"({atom.op} (+ {parts}) {rhs})"
+    raise InvalidInputError(f"unsupported atom shape: {atom}")
 
 
 def _conj_sexpr(conj: tuple[Atom, ...]) -> str:

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttubs.artifacts import (
+    GateControlList,
+    GclInterval,
     build_deployment,
     build_gcl,
     build_shaper_offset_table,
@@ -137,6 +140,79 @@ def test_next_fit_start(adas, table3):
     assert gcl.next_fit_start(4, 0, 1_776) == 6_000
 
 
+def _gcl(spans) -> GateControlList:
+    """Gate list from (end_ns, open queues) spans that tile [0, last end)."""
+    intervals, start = [], 0
+    for end, open_queues in spans:
+        intervals.append(GclInterval(start, end, tuple(q in open_queues for q in range(8))))
+        start = end
+    return GateControlList(start, tuple(intervals))
+
+
+def _brute_next_fit(gcl, queue, t, duration):
+    """Earliest t' >= t with the queue's gate open at every ns of
+    [t', t' + duration), read off ``gates_at``; None when there is none.
+    The gates repeat every cycle, so one cycle of starts decides."""
+    cycle = gcl.cycle_time_ns
+    is_open = [gcl.gates_at(x)[queue] for x in range(cycle)]
+    cand = t
+    while cand < t + cycle:
+        closed = next((x for x in range(cand, cand + duration) if not is_open[x % cycle]), None)
+        if closed is None:
+            return cand
+        cand = closed + 1
+    return None
+
+
+def _assert_matches_brute_force(gcl, queue, duration):
+    for t in range(2 * gcl.cycle_time_ns):
+        assert gcl.next_fit_start(queue, t, duration) == _brute_next_fit(gcl, queue, t, duration), t
+
+
+# queue 1: open 0-30 (two touching intervals), 80-120 and 170-200, which
+# runs on into the next cycle's 0-30; queue 2 never open; queue 3 always
+# open across interval edges
+EDGE_GCL = _gcl([(10, {1, 3}), (30, {1, 3}), (80, {3}), (120, {1, 3}), (170, {3}), (200, {1, 3})])
+
+
+@pytest.mark.parametrize("duration", [1, 25, 30, 40, 41, 60, 61, 200, 450])
+def test_next_fit_start_matches_brute_force_across_cycle_edge(duration):
+    _assert_matches_brute_force(EDGE_GCL, 1, duration)
+    # the 170-230 window wraps the cycle edge and is the only one of 60 ns
+    assert EDGE_GCL.next_fit_start(1, 130, 60) == 170
+    assert EDGE_GCL.next_fit_start(1, 171, 60) == 370
+
+
+def test_next_fit_start_never_open_queue():
+    _assert_matches_brute_force(EDGE_GCL, 2, 1)
+    assert all(EDGE_GCL.next_fit_start(2, t, 1) is None for t in range(400))
+
+
+@pytest.mark.parametrize("duration", [1, 150, 200, 1_000])
+def test_next_fit_start_always_open_queue(duration):
+    _assert_matches_brute_force(EDGE_GCL, 3, duration)
+    assert all(EDGE_GCL.next_fit_start(3, t, duration) == t for t in range(400))
+
+
+def test_next_fit_start_duration_longer_than_every_window():
+    _assert_matches_brute_force(EDGE_GCL, 1, 61)
+    assert all(EDGE_GCL.next_fit_start(1, t, 61) is None for t in range(400))
+
+
+@st.composite
+def gate_lists(draw):
+    cycle = draw(st.integers(1, 200))
+    cuts = draw(st.lists(st.integers(1, cycle - 1), max_size=6, unique=True)) if cycle > 1 else []
+    ends = sorted(cuts) + [cycle]
+    return _gcl([(end, {q for q in range(3) if draw(st.booleans())}) for end in ends])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gate_lists(), st.integers(0, 2), st.integers(1, 220))
+def test_next_fit_start_property(gcl, queue, duration):
+    _assert_matches_brute_force(gcl, queue, duration)
+
+
 def test_e2e_closed_form_values(adas, table3):
     table = build_shaper_offset_table(adas, table3)
     assert e2e_closed_form(adas, "cam1", table, 1200) == 41_776
@@ -144,6 +220,13 @@ def test_e2e_closed_form_values(adas, table3):
     assert e2e_per_slot(adas, "cam1", table, 1200) == [41_776, 41_776]
     with pytest.raises(InvalidInputError):
         e2e_closed_form(adas, "nosuch", table, 1200)
+
+
+def test_e2e_stream_missing_from_table(adas, table3):
+    table = build_shaper_offset_table(adas, table3)
+    table.rows = [r for r in table.rows if r.stream != "radar"]
+    with pytest.raises(InvalidInputError, match="no shaper row for radar"):
+        e2e_per_slot(adas, "radar", table, 300)
 
 
 def test_e2e_zero_hop_degenerate():

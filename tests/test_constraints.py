@@ -174,3 +174,14 @@ def test_queue_vars_wa(adas):
     cs_n = build_constraint_set(adas, "nfic")
     assert cs_n.free_queue_vars() == []
     assert all(q.fixed == 4 for q in cs_n.queue_vars)
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_validate_reports_queue_outside_domain(adas, table6, bad):
+    # 9 made the simulator raise IndexError, -1 stranded every cam1 frame;
+    # both used to validate
+    mod = Schedule(offsets=dict(table6.offsets), queues=dict(table6.queues))
+    mod.queues[("cam1", ("SW2", "SW1"))] = bad
+    violated = validate_schedule(adas, mod, "wa")
+    domain = [v for v in violated if v.category == "domain"]
+    assert len(domain) == 1 and "cam1@SW2->SW1" in domain[0].label

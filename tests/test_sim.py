@@ -1,8 +1,11 @@
 import pytest
 
-from ttubs.artifacts import build_deployment, e2e_per_slot
+from dataclasses import replace
+
+from ttubs.artifacts import GateControlList, GclInterval, build_deployment, e2e_per_slot
 from ttubs.harness import table5_delay, table5_drop
-from ttubs.model import InvalidInputError
+from ttubs.model import InvalidInputError, Link, Scenario, Stream
+from ttubs.schedule import Schedule
 from ttubs.sim import (
     AttackConfig,
     MeterState,
@@ -68,6 +71,32 @@ def test_gcl_gate_state(adas, dep3):
     assert gcl.gates_at(CYCLE) == gcl.gates_at(0)
     between = gcl.gates_at(15_000)
     assert not between[4] and between[0]
+
+
+def test_frame_longer_than_every_window_is_stranded(tmp_path):
+    # queue 4's only window on S->B is 500 ns; a 100-200 B frame needs
+    # 976-1 776 ns at 1 Gb/s, so no window will ever fit it
+    sc = Scenario(
+        (("A", "end-station"), ("S", "switch"), ("B", "end-station")),
+        (Link("A", "S", 10**9), Link("S", "B", 10**9)),
+        (Stream("s", 100_000, 100, 200, (("A", "S"), ("S", "B")), 100_000, 10_000),),
+    )
+    sched = Schedule(offsets={("s", ("A", "S"), 0): 0, ("s", ("S", "B"), 0): 2_000})
+    short = GateControlList(100_000, (
+        GclInterval(0, 2_000, (True,) * 4 + (False,) * 4),
+        GclInterval(2_000, 2_500, tuple(q == 4 for q in range(8))),
+        GclInterval(2_500, 100_000, (True,) * 4 + (False,) * 4),
+    ))
+    dep = replace(build_deployment(sc, sched), gcls={("S", "B"): short})
+    path = tmp_path / "trace.csv"
+    rep = run(SimConfig(sc, dep, "tas", rng_seed=1, sim_duration_ns=SHORT), trace_path=str(path))
+    m = rep.metrics["s"]
+    assert m.sent == 20 and m.delivered == 0
+    assert m.drops["stranded"] == m.sent
+    assert m.sent == m.delivered + sum(m.drops.values())
+    rows = [ln for ln in path.read_text().splitlines() if ",stranded," in ln]
+    assert len(rows) == m.sent
+    assert all(ln.split(",")[1:] == ["S", "stranded", "s", "0", "stranded"] for ln in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def test_encode_deterministic(adas):
     assert encode(cs1) == encode(cs2)
 
 
+@pytest.mark.parametrize("terms", [(("x", 2),), (("x", 1), ("y", 1)), (("x", 1), ("y", -1), ("z", 1))])
+def test_encode_rejects_atom_shapes_the_builder_never_emits(adas, terms):
+    cs = build_constraint_set(adas, "nfic")
+    odd = constraints.GroundConstraint("frame", ((constraints.Atom(terms, "<=", 5),),), "odd")
+    cs.constraints.append(odd)
+    with pytest.raises(InvalidInputError, match="unsupported atom shape"):
+        encode(cs)
+
+
 def test_encode_empty_scenario():
     sc = Scenario((("A", "end-station"),), (), ())
     text = encode(build_constraint_set(sc, "nfic"))
