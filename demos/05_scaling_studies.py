@@ -6,8 +6,9 @@ pairwise families (link and isolation) dominating as streams concentrate
 on the chain links.  Dropping the isolation family is exactly what the
 per-stream-shaper egress buys, and the solver feels it.
 
-Desk-scale sweep here; bump reps/cells (or use the CLI with
-``--paper-scale``) for smoother averages.
+Desk-scale sweep here; bump reps/cells for smoother averages (the paper
+used 500 repetitions per cell for the census and 50 for the solver study,
+``ttubs study-census --reps 500`` and ``ttubs study-solvers --reps 50``).
 """
 
 import statistics

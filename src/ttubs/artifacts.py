@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -52,15 +52,20 @@ class ShaperRow:
     cycle_time_ns: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShaperOffsetTable:
-    rows: list[ShaperRow] = field(default_factory=list)
+    rows: tuple[ShaperRow, ...] = ()
+
+    @cached_property
+    def _by_key(self) -> dict[tuple[str, LinkKey], ShaperRow]:
+        # reversed, so the first row of a (stream, egress) key wins
+        return {(row.stream, row.egress): row for row in reversed(self.rows)}
 
     def row_for(self, stream: str, egress: LinkKey) -> ShaperRow:
-        for row in self.rows:
-            if row.stream == stream and row.egress == egress:
-                return row
-        raise InvalidInputError(f"no shaper row for {stream} at {egress[0]}->{egress[1]}")
+        try:
+            return self._by_key[(stream, egress)]
+        except KeyError:
+            raise InvalidInputError(f"no shaper row for {stream} at {egress[0]}->{egress[1]}") from None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -205,13 +210,13 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
     own row.  Cycle time is the scenario hyper-period."""
     kinds = dict(scenario.nodes)
     cycle = scenario.hyper_period_ns
-    table = ShaperOffsetTable()
+    rows: list[ShaperRow] = []
     for s in scenario.streams:
         n = scenario.slots_of(s)
         for hop, key in enumerate(s.route):
             offs = tuple(schedule.offset(s.id, key, slot) for slot in range(n))
             ingress = s.route[hop - 1] if hop > 0 else None
-            table.rows.append(
+            rows.append(
                 ShaperRow(
                     switch=key[0],
                     egress=key,
@@ -223,7 +228,7 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
             )
             if kinds.get(key[0]) == "switch" and list(offs) != sorted(offs):
                 raise InvalidInputError(f"offsets not increasing for {s.id} at {key}")
-    return table
+    return ShaperOffsetTable(tuple(rows))
 
 
 def schedule_from_table(scenario: Scenario, table: ShaperOffsetTable) -> Schedule:

@@ -123,8 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     sc_ = sub.add_parser("study-census", help="constraint-count scaling sweep")
     sc_.add_argument("--switches", type=_int_list, default=(1, 10))
     sc_.add_argument("--streams", type=_int_list, default=(5, 95))
-    sc_.add_argument("--reps", type=int, default=50)
-    sc_.add_argument("--paper-scale", action="store_true", help="500 repetitions per cell")
+    sc_.add_argument("--reps", type=int, default=50, help="repetitions per cell (the paper used 500)")
     sc_.add_argument("--seed", type=int, default=0)
     sc_.add_argument("--workers", type=int, default=4)
     sc_.add_argument("--out", default=None)
@@ -132,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     ss = sub.add_parser("study-solvers", help="solve-time sweep, both engines and modes")
     ss.add_argument("--switches", type=_int_list, default=(2, 3, 4, 5))
     ss.add_argument("--streams", type=_int_list, default=(5, 10, 15, 20, 25))
-    ss.add_argument("--reps", type=int, default=5)
-    ss.add_argument("--paper-scale", action="store_true", help="50 repetitions per cell")
+    ss.add_argument("--reps", type=int, default=5, help="repetitions per cell (the paper used 50)")
     ss.add_argument("--timeout-s", type=float, default=300.0)
     ss.add_argument("--seed", type=int, default=0)
     ss.add_argument("--workers", type=int, default=4)
@@ -239,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         plan = ExperimentPlan(
             switch_counts=args.switches,
             stream_counts=args.streams,
-            repetitions=500 if args.paper_scale else args.reps,
+            repetitions=args.reps,
             rng_seed=args.seed,
             workers=args.workers,
         )
@@ -250,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         plan = ExperimentPlan(
             switch_counts=args.switches,
             stream_counts=args.streams,
-            repetitions=50 if args.paper_scale else args.reps,
+            repetitions=args.reps,
             timeout_s=args.timeout_s,
             rng_seed=args.seed,
             workers=args.workers,

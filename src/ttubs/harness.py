@@ -49,10 +49,6 @@ class ChainSpec:
     periods_ns: tuple[int, ...] = (10 * MS, 20 * MS)
     sizes: tuple[int, ...] = (400, 600, 800, 1000, 1500)
 
-    @property
-    def device_count(self) -> int:
-        return self.switch_count * (1 + self.stations_per_switch)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:

@@ -6,15 +6,22 @@ on ``(check-sat)`` and prints a ``define-fun`` model on ``(get-model)``.
 Intended as the drop-in child process for :mod:`ttubs.smt` when no system
 SMT solver is installed; any real solver can replace it on the wire.
 
-Supported input subset: ``declare-const``/``declare-fun`` of ``Int``,
-assertions built from ``and``/``or``/``not`` over linear atoms
-(``<= < >= > = distinct``) with ``+ - *`` terms, where assertion trees are
-at most a disjunction of conjunctions of atoms once disequalities are
-split.  Every variable must be box-bounded by top-level unary assertions
-(offset and queue domains always are); the disjunctive structure is then
-compiled exactly to a mixed-integer program with per-disjunct indicator
-variables and solved with HiGHS.  ``unsat`` is exact: the indicator
-relaxation constants are derived from the asserted boxes.
+It reads exactly what :func:`ttubs.smt.encode` writes.  Commands:
+``set-logic``, ``set-option``, ``(declare-const v Int)``, ``assert``,
+``check-sat`` and ``get-model``.  Assertions::
+
+    assertion := conj | (or conj conj ...)
+    conj      := atom | (and atom ...) | (distinct v w)
+    atom      := (>= term k) | (<= term k)
+    term      := v | (- v w)        k := n | (- n)
+
+Anything else raises :class:`SolverInputError`; the process then prints
+``error: ...`` to stderr and exits 2.  Every variable must be box-bounded by
+top-level unary assertions (offset and queue domains always are); the
+disjunctive structure is then compiled exactly to a mixed-integer program
+with per-disjunct indicator variables and solved with HiGHS.  ``unsat`` is
+exact: the indicator relaxation constants are derived from the asserted
+boxes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+
+__all__ = ["SolverInputError", "tokenize", "parse_sexprs", "solve_instance", "run", "main"]
 
 
 class SolverInputError(Exception):
@@ -72,46 +81,7 @@ def parse_sexprs(tokens: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# linear expressions and atoms
-
-def linear(node, coeffs: dict[str, int], sign: int, variables: set[str]) -> int:
-    """Accumulate sign*node into coeffs, returning the constant part."""
-    if isinstance(node, str):
-        if node.lstrip("-").isdigit():
-            return sign * int(node)
-        if node not in variables:
-            raise SolverInputError(f"undeclared symbol {node!r}")
-        coeffs[node] = coeffs.get(node, 0) + sign
-        return 0
-    if not node:
-        raise SolverInputError("empty expression")
-    head = node[0]
-    if head == "+":
-        return sum(linear(sub, coeffs, sign, variables) for sub in node[1:])
-    if head == "-":
-        if len(node) == 2:
-            return linear(node[1], coeffs, -sign, variables)
-        const = linear(node[1], coeffs, sign, variables)
-        return const + sum(linear(sub, coeffs, -sign, variables) for sub in node[2:])
-    if head == "*":
-        if len(node) != 3:
-            raise SolverInputError(f"only binary * supported: {node!r}")
-        a, b = node[1], node[2]
-        if isinstance(a, list) and a and a[0] == "-":
-            a_val = -int(a[1])
-        elif isinstance(a, str) and a.lstrip("-").isdigit():
-            a_val = int(a)
-        else:
-            a, b = b, a
-            if isinstance(a, list) and a and a[0] == "-":
-                a_val = -int(a[1])
-            elif isinstance(a, str) and a.lstrip("-").isdigit():
-                a_val = int(a)
-            else:
-                raise SolverInputError(f"nonlinear product {node!r}")
-        return linear(b, coeffs, sign * a_val, variables)
-    raise SolverInputError(f"unsupported term {node!r}")
-
+# the assertion grammar ``ttubs.smt.encode`` writes, read into >=-atoms
 
 @dataclass(frozen=True)
 class GeAtom:
@@ -121,93 +91,61 @@ class GeAtom:
     const: int
 
 
-def ge_atom(coeffs: dict[str, int], sign: int, const: int) -> GeAtom:
-    """``sign * sum(coeffs * vars) >= const``; zero coefficients are dropped,
-    so an atom over ``(- v v)`` becomes a constant comparison."""
-    return GeAtom(tuple(sorted((v, sign * c) for v, c in coeffs.items() if c)), const)
+def _ge_atom(coeffs: dict[str, int], sign: int, const: int) -> GeAtom:
+    """``sign * sum(coeffs * vars) >= const``."""
+    return GeAtom(tuple(sorted((v, sign * c) for v, c in coeffs.items())), const)
 
 
-def atom_to_ge(node, variables: set[str]) -> list[GeAtom]:
-    """One relational s-expr into >=-atoms (a list means conjunction)."""
-    head = node[0]
-    coeffs: dict[str, int] = {}
-    if head in (">=", ">", "<=", "<", "="):
-        const = linear(node[1], coeffs, 1, variables)
-        const += linear(node[2], coeffs, -1, variables)
-        # now: lhs_coeffs + const <op> 0
-        if head == ">=":
-            return [ge_atom(coeffs, 1, -const)]
-        if head == ">":
-            return [ge_atom(coeffs, 1, -const + 1)]
-        if head == "<=":
-            return [ge_atom(coeffs, -1, const)]
-        if head == "<":
-            return [ge_atom(coeffs, -1, const + 1)]
-        return [ge_atom(coeffs, 1, -const), ge_atom(coeffs, -1, const)]
+def _var(node, variables: set[str]) -> str:
+    if isinstance(node, str) and node in variables:
+        return node
+    raise SolverInputError(f"expected a declared Int constant, got {node!r}")
+
+
+def _term(node, variables: set[str]) -> dict[str, int]:
+    """``v`` or ``(- v w)`` as coefficients; ``(- v v)`` has none, so its
+    atom becomes a constant comparison."""
+    if isinstance(node, list) and len(node) == 3 and node[0] == "-":
+        v, w = _var(node[1], variables), _var(node[2], variables)
+        return {} if v == w else {v: 1, w: -1}
+    return {_var(node, variables): 1}
+
+
+def _const(node) -> int:
+    """``n`` or ``(- n)``."""
+    neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
+    digits = node[1] if neg else node
+    if isinstance(digits, str) and digits.isascii() and digits.isdigit():
+        return -int(digits) if neg else int(digits)
+    raise SolverInputError(f"expected an integer constant, got {node!r}")
+
+
+def _atom(node, variables: set[str]) -> GeAtom:
+    """``(>= term k)`` or ``(<= term k)``."""
+    if isinstance(node, list) and len(node) == 3 and node[0] in (">=", "<="):
+        sign = 1 if node[0] == ">=" else -1
+        return _ge_atom(_term(node[1], variables), sign, sign * _const(node[2]))
     raise SolverInputError(f"unsupported atom {node!r}")
 
 
-def push_not(node):
-    """Negation normal form over and/or/atoms; distinct kept symbolic."""
-    head = node[0]
-    if head == "not":
-        inner = node[1]
-        ih = inner[0]
-        if ih == "not":
-            return push_not(inner[1])
-        if ih == "and":
-            return ["or"] + [push_not(["not", s]) for s in inner[1:]]
-        if ih == "or":
-            return ["and"] + [push_not(["not", s]) for s in inner[1:]]
-        if ih == "distinct":
-            return ["=", inner[1], inner[2]]
-        if ih == "=":
-            return ["distinct", inner[1], inner[2]]
-        if ih == ">=":
-            return ["<", inner[1], inner[2]]
-        if ih == ">":
-            return ["<=", inner[1], inner[2]]
-        if ih == "<=":
-            return [">", inner[1], inner[2]]
-        if ih == "<":
-            return [">=", inner[1], inner[2]]
-        raise SolverInputError(f"cannot negate {inner!r}")
-    if head in ("and", "or"):
-        return [head] + [push_not(s) for s in node[1:]]
-    return node
+def _conjunctions(node, variables: set[str]) -> list[list[GeAtom]]:
+    """An atom, ``(and atom ...)`` or ``(distinct v w)``, which splits into
+    ``v - w >= 1`` or ``w - v >= 1``."""
+    head = node[0] if isinstance(node, list) and node else None
+    if head == "and" and len(node) > 1:
+        return [[_atom(sub, variables) for sub in node[1:]]]
+    if head == "distinct" and len(node) == 3:
+        diff = _term(["-", node[1], node[2]], variables)
+        return [[_ge_atom(diff, 1, 1)], [_ge_atom(diff, -1, 1)]]
+    return [[_atom(node, variables)]]
 
 
-def to_disjuncts(node, variables: set[str]) -> list[list[GeAtom]]:
-    """Assertion tree into a list of conjunctions of >=-atoms.
-
-    Handles (or C1 C2 ...) of conjunctions, bare conjunctions and bare
-    atoms; ``distinct`` inside a disjunct splits the disjunct in two.
-    """
-    node = push_not(node)
-
-    def conj_atoms(sub) -> list[list[GeAtom]]:
-        """A conjunct into one or more >=-conjunctions (distinct splits)."""
-        if sub[0] == "and":
-            results = [[]]
-            for piece in sub[1:]:
-                expansions = conj_atoms(piece)
-                results = [r + e for r in results for e in expansions]
-            return results
-        if sub[0] == "distinct":
-            coeffs: dict[str, int] = {}
-            const = linear(sub[1], coeffs, 1, variables)
-            const += linear(sub[2], coeffs, -1, variables)
-            return [[ge_atom(coeffs, 1, -const + 1)], [ge_atom(coeffs, -1, const + 1)]]
-        if sub[0] == "or":
-            raise SolverInputError("nested disjunction beyond or-of-and is unsupported")
-        return [atom_to_ge(sub, variables)]
-
-    if node[0] == "or":
-        out: list[list[GeAtom]] = []
-        for sub in node[1:]:
-            out.extend(conj_atoms(sub))
-        return out
-    return conj_atoms(node)
+def _to_disjuncts(node, variables: set[str]) -> list[list[GeAtom]]:
+    """One assertion (grammar in the module docstring) into a list of
+    conjunctions of >=-atoms."""
+    if isinstance(node, list) and len(node) > 2 and node[0] == "or":
+        return [conj for sub in node[1:] for conj in _conjunctions(sub, variables)]
+    return _conjunctions(node, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +153,7 @@ def to_disjuncts(node, variables: set[str]) -> list[list[GeAtom]]:
 
 def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[str, int] | None]:
     var_set = set(variables)
-    problems = [to_disjuncts(a, var_set) for a in assertions]
+    problems = [_to_disjuncts(a, var_set) for a in assertions]
 
     # box bounds from unary atoms in conjunctive (single-disjunct) assertions
     lo = {v: None for v in variables}
@@ -356,31 +294,21 @@ def run(text: str, out=sys.stdout) -> int:
     variables: list[str] = []
     assertions: list = []
     model: dict[str, int] | None = None
-    answered = False
     for form in forms:
-        if not isinstance(form, list) or not form:
+        cmd = form[0] if isinstance(form, list) and form else None
+        if cmd in ("set-logic", "set-option"):
             continue
-        cmd = form[0]
-        if cmd in ("set-logic", "set-option", "set-info"):
-            continue
-        if cmd == "declare-const":
-            if form[2] != "Int":
-                raise SolverInputError(f"only Int constants supported: {form!r}")
+        if cmd == "declare-const" and len(form) == 3 and isinstance(form[1], str) and form[2] == "Int":
             variables.append(form[1])
-        elif cmd == "declare-fun":
-            if form[2] != [] or form[3] != "Int":
-                raise SolverInputError(f"only nullary Int functions supported: {form!r}")
-            variables.append(form[1])
-        elif cmd == "assert":
+        elif cmd == "assert" and len(form) == 2:
             assertions.append(form[1])
         elif cmd == "check-sat":
             status, model = solve_instance(variables, assertions)
             print(status, file=out)
-            answered = True
             if status == "unknown":
                 return 0
         elif cmd == "get-model":
-            if not answered or model is None:
+            if model is None:
                 continue
             print("(", file=out)
             for v in variables:
@@ -388,10 +316,8 @@ def run(text: str, out=sys.stdout) -> int:
                 rendered = str(val) if val >= 0 else f"(- {-val})"
                 print(f"  (define-fun {v} () Int {rendered})", file=out)
             print(")", file=out)
-        elif cmd == "exit":
-            break
         else:
-            raise SolverInputError(f"unsupported command {cmd!r}")
+            raise SolverInputError(f"unsupported command {form!r}")
     return 0
 
 
@@ -412,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
         except SolverInputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        finally:
+            answers.flush()
+            os.dup2(answers.fileno(), 1)
 
 
 if __name__ == "__main__":

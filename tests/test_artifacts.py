@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from ttubs.artifacts import (
     GateControlList,
     GclInterval,
+    ShaperOffsetTable,
     build_deployment,
     build_gcl,
     build_shaper_offset_table,
@@ -222,9 +223,14 @@ def test_e2e_closed_form_values(adas, table3):
         e2e_closed_form(adas, "nosuch", table, 1200)
 
 
-def test_e2e_stream_missing_from_table(adas, table3):
+def test_row_for_finds_every_row(adas, table3):
     table = build_shaper_offset_table(adas, table3)
-    table.rows = [r for r in table.rows if r.stream != "radar"]
+    assert all(table.row_for(r.stream, r.egress) is r for r in table.rows)
+
+
+def test_e2e_stream_missing_from_table(adas, table3):
+    full = build_shaper_offset_table(adas, table3)
+    table = ShaperOffsetTable(tuple(r for r in full.rows if r.stream != "radar"))
     with pytest.raises(InvalidInputError, match="no shaper row for radar"):
         e2e_per_slot(adas, "radar", table, 300)
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import sys
 from dataclasses import replace
 
@@ -110,8 +111,6 @@ def test_parse_model_malformed():
 # bundled solver process (unit level, no subprocess)
 
 def _run_text(text):
-    import io
-
     buf = io.StringIO()
     smtlib_solver.run(text, out=buf)
     return buf.getvalue()
@@ -163,15 +162,83 @@ def test_bundled_solver_drops_zero_coefficients():
     assert _run_text(box + "(assert (distinct x x))(check-sat)").strip() == "unsat"
 
 
-def test_bundled_solver_not_normalization():
-    out = _run_text(
-        "(declare-const x Int)"
-        "(assert (and (>= x 0) (<= x 9)))"
-        "(assert (not (<= x 4)))"
-        "(check-sat)(get-model)"
+OUTSIDE_THE_GRAMMAR = {
+    "not": "(assert (not (<= x 4)))",
+    "declare-fun": "(declare-fun z () Int)(assert (and (>= z 0) (<= z 9)))",
+    "product": "(assert (>= (* 2 x) 4))",
+    "sum": "(assert (<= (+ x y) 4))",
+    "=": "(assert (= x 4))",
+    "<": "(assert (< x 4))",
+    ">": "(assert (> x 4))",
+    "set-info": "(set-info :status sat)",
+    "exit": "(exit)",
+    "nested-or": "(assert (or (>= x 5) (or (<= x 1) (<= y 1))))",
+    "non-integer": "(assert (>= x 1.5))",
+}
+
+
+@pytest.mark.parametrize("piece", OUTSIDE_THE_GRAMMAR.values(), ids=OUTSIDE_THE_GRAMMAR)
+def test_bundled_solver_rejects_input_outside_the_grammar(piece, tmp_path, capfd):
+    text = (
+        "(declare-const x Int)(declare-const y Int)"
+        "(assert (and (>= x 0) (<= x 9)))(assert (and (>= y 0) (<= y 9)))"
+        + piece
+        + "(check-sat)(get-model)"
     )
-    model = parse_model(out, ["x"])
-    assert model["x"] >= 5
+    with pytest.raises(smtlib_solver.SolverInputError):
+        _run_text(text)
+    path = tmp_path / "in.smt2"
+    path.write_text(text)
+    assert smtlib_solver.main([str(path)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _ge(atom):
+    """An Atom as the bundled solver's >=-disjuncts: one for >= and <=, two
+    for !=; a variable minus itself leaves no coefficient."""
+    coeffs = {}
+    for v, c in atom.terms:
+        coeffs[v] = coeffs.get(v, 0) + c
+    terms = tuple(sorted((v, c) for v, c in coeffs.items() if c))
+    neg = tuple((v, -c) for v, c in terms)
+    if atom.op == ">=":
+        return [smtlib_solver.GeAtom(terms, atom.const)]
+    if atom.op == "<=":
+        return [smtlib_solver.GeAtom(neg, -atom.const)]
+    return [smtlib_solver.GeAtom(terms, atom.const + 1), smtlib_solver.GeAtom(neg, 1 - atom.const)]
+
+
+def _round_trip_scenarios(adas):
+    yield adas
+    yield _single_hop(100_000)
+    for switches, streams, seed in [(1, 4, 1), (2, 8, 2), (3, 12, 3)]:
+        yield gen_chain(ChainSpec(switches, streams, rng_seed=seed))
+
+
+@pytest.mark.parametrize("mode", ["nfic", "wa"])
+def test_bundled_solver_reads_back_what_encode_writes(adas, mode):
+    for sc in _round_trip_scenarios(adas):
+        cs = build_constraint_set(sc, mode)
+        text = encode(cs)
+        forms = smtlib_solver.parse_sexprs(smtlib_solver.tokenize(text))
+        variables = {f[1] for f in forms if f[0] == "declare-const"}
+        asserted = [f[1] for f in forms if f[0] == "assert"]
+        expected = [
+            [[smtlib_solver.GeAtom(((qv.name, 1),), 0), smtlib_solver.GeAtom(((qv.name, -1),), -qv.domain_max)]]
+            for qv in cs.free_queue_vars()
+        ]
+        for gc in cs.constraints:
+            disjuncts = []
+            for conj in gc.disjuncts:
+                if len(conj) == 1 and conj[0].op == "!=":
+                    disjuncts.extend([a] for a in _ge(conj[0]))
+                else:
+                    disjuncts.append([ge for a in conj for ge in _ge(a)])
+            expected.append(disjuncts)
+        assert [smtlib_solver._to_disjuncts(a, variables) for a in asserted] == expected
+        assert _run_text(text).split()[0] in ("sat", "unsat")
 
 
 # ---------------------------------------------------------------------------
