@@ -208,7 +208,6 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
     """One row per (stream, egress link) with the schedule's absolute
     offsets as eligibility offsets; talker send times become the talker's
     own row.  Cycle time is the scenario hyper-period."""
-    kinds = dict(scenario.nodes)
     cycle = scenario.hyper_period_ns
     rows: list[ShaperRow] = []
     for s in scenario.streams:
@@ -226,7 +225,7 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
                     cycle_time_ns=cycle,
                 )
             )
-            if kinds.get(key[0]) == "switch" and list(offs) != sorted(offs):
+            if scenario.is_switch_egress(key) and list(offs) != sorted(offs):
                 raise InvalidInputError(f"offsets not increasing for {s.id} at {key}")
     return ShaperOffsetTable(tuple(rows))
 
@@ -309,13 +308,12 @@ class Deployment:
 
 
 def build_deployment(scenario: Scenario, schedule: Schedule) -> Deployment:
-    kinds = dict(scenario.nodes)
     table = build_shaper_offset_table(scenario, schedule)
     gcls: dict[LinkKey, GateControlList] = {}
     queues: dict[tuple[str, LinkKey], int] = {}
     for s in scenario.streams:
         for key in s.route:
-            if kinds.get(key[0]) != "switch":
+            if not scenario.is_switch_egress(key):
                 continue
             if key not in gcls:
                 gcls[key] = build_gcl(scenario, schedule, key)

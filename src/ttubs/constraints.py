@@ -341,13 +341,12 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
     on_link = {ln.key: [s for s in scenario.streams if ln.key in s.route] for ln in scenario.links}
 
     # queue variables live on switch egress hops
-    kinds = dict(scenario.nodes)
     fixed = NFIC_QUEUE if mode == "nfic" else None
     queue_vars = [
         QueueVar(queue_var_name(s.id, key), s.id, key, scenario.link(key).queue_count - 1, fixed)
         for s in scenario.streams
         for key in s.route
-        if kinds.get(key[0]) == "switch"
+        if scenario.is_switch_egress(key)
     ]
 
     constraints = (

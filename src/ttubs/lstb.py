@@ -56,12 +56,11 @@ def _first_fit_queues(scenario: Scenario) -> dict[tuple[str, LinkKey], int]:
     """Deterministic queue pre-assignment for isolation-checked search:
     streams on a switch egress link take queue indices in scenario order,
     wrapping when the link has fewer queues than streams."""
-    kinds = dict(scenario.nodes)
     queues: dict[tuple[str, LinkKey], int] = {}
     rank: dict[LinkKey, int] = {}
     for s in scenario.streams:
         for key in s.route:
-            if kinds.get(key[0]) != "switch":
+            if not scenario.is_switch_egress(key):
                 continue
             r = rank.get(key, 0)
             rank[key] = r + 1
@@ -84,7 +83,6 @@ class _Search:
         self.backjumps = 0
 
         streams = {s.id: s for s in scenario.streams}
-        kinds = dict(scenario.nodes)
         index_of = {(fi.stream, fi.link, fi.slot): i for i, fi in enumerate(frames)}
         self.on_link: dict[LinkKey, list[int]] = {}
         self.slot_base = [fi.slot * fi.period_ns for fi in frames]
@@ -114,7 +112,7 @@ class _Search:
                 elif fi.hop > 0:
                     self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
                     self.e2e_slack[i] = slack
-            self.iso_checked[i] = mode == "fic" and kinds.get(fi.link[0]) == "switch"
+            self.iso_checked[i] = mode == "fic" and scenario.is_switch_egress(fi.link)
             self.queue_of[i] = self.queues.get((fi.stream, fi.link), NFIC_QUEUE)
 
     def abs_offset(self, i: int) -> int:
@@ -240,10 +238,9 @@ def lstb_solve(scenario: Scenario, mode: str = "nfic", limits: LstbLimits | None
     sched = Schedule()
     for idx, fi in enumerate(frames):
         sched.offsets[(fi.stream, fi.link, fi.slot)] = search.abs_offset(idx)
-    kinds = dict(scenario.nodes)
     for s in scenario.streams:
         for key in s.route:
-            if kinds.get(key[0]) == "switch":
+            if scenario.is_switch_egress(key):
                 sched.queues[(s.id, key)] = (
                     search.queues[(s.id, key)] if mode == "fic" else NFIC_QUEUE
                 )

@@ -110,6 +110,11 @@ class Scenario:
     def _kinds(self) -> dict[str, str]:
         return dict(self.nodes)
 
+    def is_switch_egress(self, key: tuple[str, str]) -> bool:
+        """Whether link ``key`` leaves a switch: the hops that carry queue
+        choices, gates and shapers."""
+        return self._kinds.get(key[0]) == "switch"
+
     # The delay model.  Constraints, lstb, the closed form and the
     # simulator all read per-hop delays from these three methods.
 

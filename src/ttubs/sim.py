@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator of talkers, switches and
 listeners.
 
-Switch egress runs in one of two modes:
+Switch egress runs in one of two modes, set per switch:
 
 * ``tas``   -- gate-controlled shared priority queues.  Transmission
   selection is strict priority over open, non-empty queues; a frame starts
@@ -14,6 +14,10 @@ Switch egress runs in one of two modes:
   frames whose eligibility already passed in the current cycle, and keeps
   at most one frame per shaped queue (a newer arrival displaces an older
   held frame).  Shared-queue gates for time-triggered traffic stay open.
+
+End-station egress is one ungated, unshaped queue.  Each stream's route is
+resolved once into a plan of one (egress port, shared queue, shaped queue
+or none) per hop, which every send, arrival and release reads.
 
 Propagation and, at a switch, its processing delay pass between a frame's
 last bit leaving the sender and its arrival event (``arrival_lag_ns``), so
@@ -32,6 +36,7 @@ then link arrivals, then meter releases, then transmission retries.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,33 +179,27 @@ class _Frame:
 
 
 class _ShapedQueue:
-    __slots__ = ("held", "epoch", "offsets", "cycle", "period", "queue_idx")
+    __slots__ = ("held", "epoch", "offsets", "cycle", "period")
 
-    def __init__(self, offsets, cycle, period, queue_idx):
+    def __init__(self, offsets, cycle, period):
         self.held: _Frame | None = None
         self.epoch = 0
         self.offsets = offsets
         self.cycle = cycle
         self.period = period
-        self.queue_idx = queue_idx
 
 
 class _Port:
-    __slots__ = (
-        "link", "mode", "rate", "lag", "dst", "busy_until", "queues",
-        "gcl", "shaped", "next_wake",
-    )
+    __slots__ = ("link", "rate", "lag", "busy_until", "queues", "used", "gcl", "next_wake")
 
-    def __init__(self, link, mode, rate, lag, dst, gcl):
+    def __init__(self, link, rate, lag, gcl):
         self.link = link
-        self.mode = mode  # "direct" | "tas" | "ttubs"
         self.rate = rate
-        self.lag = lag  # last bit sent to frame held at dst: propagation + processing
-        self.dst = dst
+        self.lag = lag  # last bit sent to frame held at the far end: propagation + processing
         self.busy_until = 0
-        self.queues = [[] for _ in range(N_QUEUES)]
-        self.gcl = gcl
-        self.shaped: dict[int, _ShapedQueue] = {}
+        self.queues = [deque() for _ in range(N_QUEUES)]
+        self.used: tuple[int, ...] = ()  # queues the port's streams use, highest first
+        self.gcl = gcl  # set only where a ``tas`` switch gates the port
         self.next_wake: int | None = None
 
 
@@ -208,11 +207,8 @@ class _Engine:
     def __init__(self, config: SimConfig, trace_path: str | None):
         self.config = config
         scenario = config.scenario
-        self.scenario = scenario
         dep = config.deployment
-        self.kinds = dict(scenario.nodes)
         self.streams = list(scenario.streams)
-        self.sidx = {s.id: i for i, s in enumerate(self.streams)}
         self.cycle = scenario.hyper_period_ns
         if config.sim_duration_ns < self.cycle:
             raise InvalidInputError("simulation shorter than one hyper-period")
@@ -220,42 +216,37 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.rng = np.random.default_rng(config.rng_seed)
-        self.trace = open(trace_path, "w") if trace_path else None
-        if self.trace:
-            self.trace.write("time_ns,node,event,stream,slot,disposition\n")
 
         self.metrics = {s.id: StreamMetrics() for s in self.streams}
         self.shaper_discards = 0
         self.in_flight = 0
 
-        # ports
-        self.ports: dict[LinkKey, _Port] = {}
+        ports: dict[LinkKey, _Port] = {}
         for ln in scenario.links:
-            if self.kinds[ln.src] == "end-station":
-                mode = "direct"
-                gcl = None
-            else:
-                mode = config.mode_of(ln.src)
+            gcl = None
+            if scenario.is_switch_egress(ln.key) and config.mode_of(ln.src) == "tas":
                 gcl = dep.gcls.get(ln.key)
-                if mode == "tas" and gcl is None and scenario.streams_on_link(ln.key):
+                if gcl is None and scenario.streams_on_link(ln.key):
                     raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
-            self.ports[ln.key] = _Port(ln.key, mode, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), ln.dst, gcl)
+            ports[ln.key] = _Port(ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
 
-        # shaped queues + shared-queue assignment per (stream, link)
-        self.queue_idx: dict[tuple[int, LinkKey], int] = {}
-        for s in scenario.streams:
-            i = self.sidx[s.id]
-            for hop, key in enumerate(s.route):
-                if self.kinds[key[0]] != "switch":
-                    continue
-                q = dep.queues.get((s.id, key), NFIC_QUEUE)
-                self.queue_idx[(i, key)] = q
-                port = self.ports[key]
-                if port.mode == "ttubs":
-                    row = dep.table.row_for(s.id, key)
-                    port.shaped[i] = _ShapedQueue(
-                        row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns, q
-                    )
+        # per stream, one (egress port, shared queue, shaped queue or None)
+        # per route hop; end-station egress is queue 0, unshaped and ungated
+        self.plans: list[tuple[tuple[_Port, int, _ShapedQueue | None], ...]] = []
+        for s in self.streams:
+            plan = []
+            for key in s.route:
+                port = ports[key]
+                queue, shaped = 0, None
+                if scenario.is_switch_egress(key):
+                    queue = dep.queues.get((s.id, key), NFIC_QUEUE)
+                    if config.mode_of(key[0]) == "ttubs":
+                        row = dep.table.row_for(s.id, key)
+                        shaped = _ShapedQueue(row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
+                if queue not in port.used:
+                    port.used = tuple(sorted((*port.used, queue), reverse=True))
+                plan.append((port, queue, shaped))
+            self.plans.append(tuple(plan))
 
         # meters keyed by (switch, ingress)
         self.meters: dict[tuple[str, LinkKey], list] = {}
@@ -264,15 +255,18 @@ class _Engine:
             self.meters.setdefault((cfg.switch, cfg.ingress), []).append([state, []])
 
         # talker sends
-        self.talker = dep.talker_offsets
-        for s in scenario.streams:
-            i = self.sidx[s.id]
+        for i, s in enumerate(self.streams):
             for slot in range(scenario.slots_of(s)):
-                if (s.id, slot) not in self.talker:
+                if (s.id, slot) not in dep.talker_offsets:
                     raise InvalidInputError(f"deployment lacks talker offset for {s.id} slot {slot}")
-                t0 = self.talker[(s.id, slot)]
+                t0 = dep.talker_offsets[(s.id, slot)]
                 if t0 < config.sim_duration_ns:
                     self.push(t0, PH_SEND, (i, slot))
+
+        # opened last, so a rejected config leaves no file open
+        self.trace = open(trace_path, "w") if trace_path else None
+        if self.trace:
+            self.trace.write("time_ns,node,event,stream,slot,disposition\n")
 
     # ------------------------------------------------------------------
     def push(self, t, phase, data):
@@ -319,7 +313,7 @@ class _Engine:
         nxt = t + self.cycle
         if nxt < self.config.sim_duration_ns:
             self.push(nxt, PH_SEND, (i, slot))
-        self.enqueue(t, self.ports[s.route[0]], frame)
+        self.to_egress(t, frame)
 
     def on_arrival(self, t, data):
         frame, link = data
@@ -357,17 +351,12 @@ class _Engine:
             self.to_egress(t, frame)
 
     def to_egress(self, t, frame: _Frame):
-        s = self.streams[frame.stream_idx]
-        key = s.route[frame.hop]
-        port = self.ports[key]
-        if port.mode == "ttubs":
-            self.shaper_admit(t, port, frame)
-        else:
-            self.enqueue(t, port, frame)
-
-    # ------------------------------------------------------------------
-    def shaper_admit(self, t, port: _Port, frame: _Frame):
-        sq = port.shaped[frame.stream_idx]
+        """Hand ``frame`` to its current hop: straight into the shared
+        queue, or through the hop's shaped queue."""
+        port, queue, sq = self.plans[frame.stream_idx][frame.hop]
+        if sq is None:
+            self.enqueue(t, port, queue, frame)
+            return
         node = port.link[0]
         if sq.held is not None:
             older = sq.held
@@ -380,29 +369,25 @@ class _Engine:
             return
         if release == t:
             self.emit(t, node, "shaper_release", frame.stream_idx, frame.slot)
-            self.enqueue(t, port, frame, sq.queue_idx)
+            self.enqueue(t, port, queue, frame)
             return
         sq.held = frame
         self.emit(t, node, "shaper_hold", frame.stream_idx, frame.slot)
-        self.push(release, PH_SHAPER, (port, sq, sq.epoch))
+        self.push(release, PH_SHAPER, (sq, sq.epoch))
 
     def on_shaper_release(self, t, data):
-        port, sq, epoch = data
-        if epoch != sq.epoch or sq.held is None:
+        sq, epoch = data
+        if epoch != sq.epoch:
             return  # displaced meanwhile
         frame = sq.held
         sq.held = None
         sq.epoch += 1
+        port, queue, _ = self.plans[frame.stream_idx][frame.hop]
         self.emit(t, port.link[0], "shaper_release", frame.stream_idx, frame.slot)
-        self.enqueue(t, port, frame, sq.queue_idx)
+        self.enqueue(t, port, queue, frame)
 
     # ------------------------------------------------------------------
-    def enqueue(self, t, port: _Port, frame: _Frame, queue: int | None = None):
-        if queue is None:
-            if port.mode == "direct":
-                queue = 0
-            else:
-                queue = self.queue_idx[(frame.stream_idx, port.link)]
+    def enqueue(self, t, port: _Port, queue: int, frame: _Frame):
         frame.dur = bytes_to_duration(frame.payload, port.rate)
         port.queues[queue].append(frame)
         self.service(t, port)
@@ -421,22 +406,22 @@ class _Engine:
         if port.busy_until > t:
             self.wake(port, port.busy_until)
             return
-        gcl = port.gcl if port.mode == "tas" else None
+        gcl = port.gcl
         best_retry: int | None = None
-        for q in range(N_QUEUES - 1, -1, -1):
+        for q in port.used:
             dq = port.queues[q]
             while dq:
                 head = dq[0]
                 start = t if gcl is None else gcl.next_fit_start(q, t, head.dur)
                 if start == t:
-                    dq.pop(0)
+                    dq.popleft()
                     port.busy_until = t + head.dur
                     self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
                     self.push(t + head.dur + port.lag, PH_ARRIVAL, (head, port.link))
                     self.wake(port, port.busy_until)
                     return
                 if start is None:
-                    dq.pop(0)
+                    dq.popleft()
                     self.drop(t, port.link[0], head, "stranded", "stranded")
                     continue
                 if best_retry is None or start < best_retry:

@@ -16,7 +16,8 @@ It reads exactly what :func:`ttubs.smt.encode` writes.  Commands:
     term      := v | (- v w)        k := n | (- n)
 
 Anything else raises :class:`SolverInputError`; the process then prints
-``error: ...`` to stderr and exits 2.  Every variable must be box-bounded by
+``error: ...`` to stderr and exits 2.  Every command is read before the
+first answer, so an unsupported command leaves nothing on stdout.  Every variable must be box-bounded by
 top-level unary assertions (offset and queue domains always are); the
 disjunctive structure is then compiled exactly to a mixed-integer program
 with per-disjunct indicator variables and solved with HiGHS.  ``unsat`` is
@@ -27,6 +28,7 @@ boxes.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -41,26 +43,13 @@ class SolverInputError(Exception):
 # s-expression reading, also used by ttubs.smt to read models (this module
 # imports nothing from ttubs, so the process stays importable on its own)
 
+# a comment, or a token: a parenthesis or a run of anything else but
+# whitespace; comments leave an empty group, which tokenize drops
+_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+
 def tokenize(text: str) -> list[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return [tok for tok in _TOKEN.findall(text) if tok]
 
 
 def parse_sexprs(tokens: list[str]):
@@ -289,35 +278,41 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
 # ---------------------------------------------------------------------------
 # command loop
 
+def _command(form) -> str:
+    cmd = form[0] if isinstance(form, list) and form else None
+    if (
+        cmd in ("set-logic", "set-option", "check-sat", "get-model")
+        or (cmd == "declare-const" and len(form) == 3 and isinstance(form[1], str) and form[2] == "Int")
+        or (cmd == "assert" and len(form) == 2)
+    ):
+        return cmd
+    raise SolverInputError(f"unsupported command {form!r}")
+
+
 def run(text: str, out=sys.stdout) -> int:
-    forms = parse_sexprs(tokenize(text))
+    # every command is read before the first answer, so input the reader
+    # rejects never leaves a verdict behind
+    commands = [(_command(form), form) for form in parse_sexprs(tokenize(text))]
     variables: list[str] = []
     assertions: list = []
     model: dict[str, int] | None = None
-    for form in forms:
-        cmd = form[0] if isinstance(form, list) and form else None
-        if cmd in ("set-logic", "set-option"):
-            continue
-        if cmd == "declare-const" and len(form) == 3 and isinstance(form[1], str) and form[2] == "Int":
+    for cmd, form in commands:
+        if cmd == "declare-const":
             variables.append(form[1])
-        elif cmd == "assert" and len(form) == 2:
+        elif cmd == "assert":
             assertions.append(form[1])
         elif cmd == "check-sat":
             status, model = solve_instance(variables, assertions)
             print(status, file=out)
             if status == "unknown":
                 return 0
-        elif cmd == "get-model":
-            if model is None:
-                continue
+        elif cmd == "get-model" and model is not None:
             print("(", file=out)
             for v in variables:
                 val = model[v]
                 rendered = str(val) if val >= 0 else f"(- {-val})"
                 print(f"  (define-fun {v} () Int {rendered})", file=out)
             print(")", file=out)
-        else:
-            raise SolverInputError(f"unsupported command {form!r}")
     return 0
 
 

@@ -99,6 +99,35 @@ def test_frame_longer_than_every_window_is_stranded(tmp_path):
     assert all(ln.split(",")[1:] == ["S", "stranded", "s", "0", "stranded"] for ln in rows)
 
 
+def test_strict_priority_serves_highest_queue_first(tmp_path):
+    # both frames wait at S for S->B's gates to open at 10 us; queue 5 goes
+    # first although queue 2's frame was queued first
+    sc = Scenario(
+        (("A", "end-station"), ("C", "end-station"), ("S", "switch"), ("B", "end-station")),
+        (Link("A", "S", 10**9), Link("C", "S", 10**9), Link("S", "B", 10**9)),
+        (
+            Stream("lo", 100_000, 100, 100, (("A", "S"), ("S", "B")), 100_000, 10_000),
+            Stream("hi", 100_000, 100, 100, (("C", "S"), ("S", "B")), 100_000, 10_000),
+        ),
+    )
+    sched = Schedule(
+        offsets={
+            ("lo", ("A", "S"), 0): 0, ("lo", ("S", "B"), 0): 10_000,
+            ("hi", ("C", "S"), 0): 0, ("hi", ("S", "B"), 0): 12_000,
+        },
+        queues={("lo", ("S", "B")): 2, ("hi", ("S", "B")): 5},
+    )
+    closed_then_open = GateControlList(100_000, (
+        GclInterval(0, 10_000, (False,) * 8),
+        GclInterval(10_000, 100_000, (True,) * 8),
+    ))
+    dep = replace(build_deployment(sc, sched), gcls={("S", "B"): closed_then_open})
+    path = tmp_path / "trace.csv"
+    run(SimConfig(sc, dep, "tas", rng_seed=1, sim_duration_ns=100_000), trace_path=str(path))
+    starts = [ln.split(",")[3] for ln in path.read_text().splitlines() if ",S,tx_start," in ln]
+    assert starts == ["hi", "lo"]
+
+
 # ---------------------------------------------------------------------------
 # fault meter
 
@@ -223,6 +252,13 @@ def test_per_switch_modes(adas, dep3):
 def test_duration_shorter_than_cycle_rejected(adas, dep3):
     with pytest.raises(InvalidInputError):
         run(SimConfig(adas, dep3, "ttubs", rng_seed=1, sim_duration_ns=100_000))
+
+
+def test_rejected_config_opens_no_trace(adas, dep3, tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(InvalidInputError):
+        run(SimConfig(adas, replace(dep3, gcls={}), "tas", sim_duration_ns=SHORT), trace_path=str(path))
+    assert not path.exists()
 
 
 def test_trace_columns(adas, dep3, tmp_path):

@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttubs import constraints, model
 from ttubs.constraints import build_constraint_set, validate_schedule
@@ -193,6 +194,41 @@ def test_bundled_solver_rejects_input_outside_the_grammar(piece, tmp_path, capfd
     out, err = capfd.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_bundled_solver_answers_only_after_reading_every_command(tmp_path, capfd):
+    path = tmp_path / "in.smt2"
+    path.write_text("(declare-const x Int)(assert (and (>= x 0) (<= x 1)))(check-sat)(get-model)(exit)")
+    assert smtlib_solver.main([str(path)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _tokens_spec(text: str) -> list[str]:
+    """SMT-LIB tokens one character at a time: ``;`` starts a comment that
+    runs to the next newline, ``(`` and ``)`` stand alone, and anything else
+    is a token up to the next whitespace, parenthesis or ``;``."""
+    tokens, word, in_comment = [], "", False
+    for c in text + "\n":
+        if in_comment:
+            in_comment = c != "\n"
+        elif c.isspace() or c in "();":
+            if word:
+                tokens.append(word)
+                word = ""
+            if c in "()":
+                tokens.append(c)
+            in_comment = c == ";"
+        else:
+            word += c
+    return tokens
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet="();- \n\t\r\x0b\x1c\x85\xa0\u2028\u3000xy1é"))
+def test_tokenize_matches_spec(text):
+    assert smtlib_solver.tokenize(text) == _tokens_spec(text)
 
 
 def _ge(atom):

@@ -37,6 +37,14 @@ REPLAY_DIGESTS = {
     ("table8", "ttubs", "timeout-long"): "e66888397a704b8f073758631668cca468349d975f6e723c54595279c92296f0",
 }
 
+# per-switch egress on the ADAS fixtures, no faults: (fixture, SW1, SW2)
+MIXED_DIGESTS = {
+    ("table3", "tas", "ttubs"): "43793d1d7beb2d676d6dc85119b9cf54d7218a59c8053b70f97290eba1e086bb",
+    ("table3", "ttubs", "tas"): "5301dc25980e9f5ec664b92a8f03fc6b6f687edd1e2f8ffd4b3d45ba7498f0de",
+    ("table6", "tas", "ttubs"): "43793d1d7beb2d676d6dc85119b9cf54d7218a59c8053b70f97290eba1e086bb",
+    ("table6", "ttubs", "tas"): "462f63b2be0fad0d13293367361d5ec7144a97e6ab96cbbd2b4c4ffcff2c5f26",
+}
+
 CHAIN_DIGESTS = {
     "tas": "40c0aea5d8c81f155b370a7a9dd050bad63046d78fd43afe16f1d17233c34f40",
     "ttubs": "c8f46ea6d8ae421cd8d071b8ac6fc4903c314baed0793599385199a82b034b4f",
@@ -52,6 +60,13 @@ def test_replay_trace_digest_pinned(name, egress, fault, tmp_path):
     path = tmp_path / "trace.csv"
     replay_fixture(name, egress, fault_preset(fault), 1, 200_000_000, trace_path=str(path))
     assert _digest(path) == REPLAY_DIGESTS[(name, egress, fault)]
+
+
+@pytest.mark.parametrize("name,sw1,sw2", sorted(MIXED_DIGESTS))
+def test_mixed_replay_trace_digest_pinned(name, sw1, sw2, tmp_path):
+    path = tmp_path / "trace.csv"
+    replay_fixture(name, {"SW1": sw1, "SW2": sw2}, (), 1, 200_000_000, trace_path=str(path))
+    assert _digest(path) == MIXED_DIGESTS[(name, sw1, sw2)]
 
 
 @pytest.fixture(scope="module")
