@@ -1,12 +1,16 @@
 """Deployment artifacts derived from a solved schedule.
 
 * ShaperOffsetTable -- per-stream eligibility offsets for the table-driven
-  per-stream shapers (one row per stream per egress port, plus the talker
-  send rows).
+  per-stream shapers: one row per stream per egress port.  The row of a
+  stream's first hop is its talker row and holds the talker's send times;
+  no other artifact repeats them.
 * GateControlList   -- per-port cyclic gate states with exact nanosecond
   windows (published tables round to whole microseconds; rounding there is
   presentation, not semantics, since a window narrower than its frame
   could never transmit it under length-aware gating).
+* Deployment        -- the table, the gate lists of the switch egress ports
+  and the shared queue of each stream on each switch egress hop (the
+  link's ``nfic_queue`` where the schedule assigns none).
 * Closed-form end-to-end latency, bounds and jitter from the table alone.
 """
 
@@ -256,7 +260,7 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
         if link not in s.route:
             continue
         dur = bytes_to_duration(s.payload_max, rate)
-        q = schedule.queue_of(s.id, link)
+        q = schedule.queue_of(s.id, link, scenario.link(link).queue_count)
         tt_queues.add(q)
         for slot in range(scenario.slots_of(s)):
             start = schedule.offset(s.id, link, slot)
@@ -284,22 +288,18 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
 
 @dataclass
 class Deployment:
-    """Everything a device needs: shaper table, per-port gate lists, talker
-    send schedule and shared-queue assignments."""
+    """Everything a device needs: the shaper table, whose talker rows are
+    the talkers' send times, per-port gate lists and the shared queue of
+    every stream on every switch egress hop."""
 
     table: ShaperOffsetTable
     gcls: dict[LinkKey, GateControlList]
-    talker_offsets: dict[tuple[str, int], int]
     queues: dict[tuple[str, LinkKey], int]
 
     def to_dict(self) -> dict:
         return {
             "shaper_offset_table": self.table.to_dict(),
             "gcls": {f"{a}->{b}": g.to_dict() for (a, b), g in self.gcls.items()},
-            "talker_offsets_ns": [
-                {"stream": s, "slot": slot, "offset_ns": off}
-                for (s, slot), off in sorted(self.talker_offsets.items())
-            ],
             "queues": [
                 {"stream": s, "link": [a, b], "queue": q}
                 for (s, (a, b)), q in sorted(self.queues.items())
@@ -317,8 +317,8 @@ def build_deployment(scenario: Scenario, schedule: Schedule) -> Deployment:
                 continue
             if key not in gcls:
                 gcls[key] = build_gcl(scenario, schedule, key)
-            queues[(s.id, key)] = schedule.queue_of(s.id, key)
-    return Deployment(table, gcls, schedule.talker_offsets(scenario), queues)
+            queues[(s.id, key)] = schedule.queue_of(s.id, key, scenario.link(key).queue_count)
+    return Deployment(table, gcls, queues)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .model import (
     _sym,
     expand_frame_instances,
 )
-from .schedule import NFIC_QUEUE, Schedule
+from .schedule import Schedule, nfic_queue
 
 __all__ = [
     "Atom",
@@ -137,19 +137,17 @@ class ConstraintSet:
     def violations(self, schedule: Schedule) -> list[GroundConstraint]:
         """Evaluate every ground constraint on the schedule; returns the
         violated ones (empty = valid in this set's mode), led by a
-        ``domain`` constraint for each free queue variable outside
-        ``[0, domain_max]``.  Raises :class:`InvalidInputError` when the
-        schedule leaves a variable unassigned."""
+        ``domain`` constraint for each queue variable, fixed or free, whose
+        queue in the schedule lies outside ``[0, domain_max]``.  Raises
+        :class:`InvalidInputError` when the schedule leaves an offset
+        unassigned."""
         assignment: dict[str, int] = {}
         for fi in self.instances:
             absolute = schedule.offset(fi.stream, fi.link, fi.slot)
             assignment[fi.var_name] = absolute - fi.slot * fi.period_ns
         out = []
         for qv in self.queue_vars:
-            if qv.fixed is not None:
-                assignment[qv.name] = qv.fixed
-                continue
-            q = assignment[qv.name] = schedule.queue_of(qv.stream, qv.link)
+            q = assignment[qv.name] = schedule.queue_of(qv.stream, qv.link, qv.domain_max + 1)
             if not 0 <= q <= qv.domain_max:
                 var = ((qv.name, 1),)
                 out.append(GroundConstraint(
@@ -341,13 +339,13 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
     on_link = {ln.key: [s for s in scenario.streams if ln.key in s.route] for ln in scenario.links}
 
     # queue variables live on switch egress hops
-    fixed = NFIC_QUEUE if mode == "nfic" else None
-    queue_vars = [
-        QueueVar(queue_var_name(s.id, key), s.id, key, scenario.link(key).queue_count - 1, fixed)
-        for s in scenario.streams
-        for key in s.route
-        if scenario.is_switch_egress(key)
-    ]
+    queue_vars = []
+    for s in scenario.streams:
+        for key in s.route:
+            if scenario.is_switch_egress(key):
+                count = scenario.link(key).queue_count
+                fixed = nfic_queue(count) if mode == "nfic" else None
+                queue_vars.append(QueueVar(queue_var_name(s.id, key), s.id, key, count - 1, fixed))
 
     constraints = (
         _frame_constraints(instances)

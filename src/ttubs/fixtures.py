@@ -39,7 +39,7 @@ def adas_scenario() -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _with_talker_offsets(scenario: Scenario, offsets: dict) -> dict:
+def _with_talker_sends(scenario: Scenario, offsets: dict) -> dict:
     """Talker send times are pinned to the slot starts (0, T, 2T, ...)."""
     out = dict(offsets)
     for s in scenario.streams:
@@ -75,7 +75,7 @@ def table3_schedule(scenario: Scenario | None = None) -> Schedule:
             ("radar", "sw1", 0): 10,
         }
     )
-    return Schedule(offsets=_with_talker_offsets(scenario, offsets))
+    return Schedule(offsets=_with_talker_sends(scenario, offsets))
 
 
 def table6_schedule(scenario: Scenario | None = None) -> Schedule:
@@ -110,7 +110,7 @@ def table8_schedule(scenario: Scenario | None = None) -> Schedule:
             ("radar", "sw1", 0): 8,
         }
     )
-    return Schedule(offsets=_with_talker_offsets(scenario, offsets))
+    return Schedule(offsets=_with_talker_sends(scenario, offsets))
 
 
 def table7_schedule(scenario: Scenario | None = None) -> tuple[Schedule, list]:
@@ -134,7 +134,7 @@ def table7_schedule(scenario: Scenario | None = None) -> tuple[Schedule, list]:
             ("radar", "sw1", 0): 185,
         }
     )
-    sched = Schedule(offsets=_with_talker_offsets(scenario, offsets))
+    sched = Schedule(offsets=_with_talker_sends(scenario, offsets))
     filled = _fill_missing(scenario, sched)
     return sched, filled
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .model import FrameInstance, InvalidInputError, Scenario, expand_frame_instances
-from .schedule import NFIC_QUEUE, Schedule
+from .schedule import Schedule, nfic_queue
 
 __all__ = ["LstbLimits", "LstbResult", "lstb_solve", "order_frames"]
 
@@ -52,19 +52,22 @@ def order_frames(scenario: Scenario) -> list[FrameInstance]:
     return out
 
 
-def _first_fit_queues(scenario: Scenario) -> dict[tuple[str, LinkKey], int]:
-    """Deterministic queue pre-assignment for isolation-checked search:
-    streams on a switch egress link take queue indices in scenario order,
-    wrapping when the link has fewer queues than streams."""
+def _queue_map(scenario: Scenario, mode: str) -> dict[tuple[str, LinkKey], int]:
+    """Queue of every stream on every switch egress link of its route.  In
+    ``fic`` mode, a deterministic pre-assignment for isolation-checked
+    search: streams on a link take queue indices in scenario order,
+    wrapping when the link has fewer queues than streams.  In ``nfic``
+    mode every stream takes the link's shared queue."""
     queues: dict[tuple[str, LinkKey], int] = {}
     rank: dict[LinkKey, int] = {}
     for s in scenario.streams:
         for key in s.route:
             if not scenario.is_switch_egress(key):
                 continue
+            count = scenario.link(key).queue_count
             r = rank.get(key, 0)
             rank[key] = r + 1
-            queues[(s.id, key)] = r % scenario.link(key).queue_count
+            queues[(s.id, key)] = r % count if mode == "fic" else nfic_queue(count)
     return queues
 
 
@@ -75,7 +78,7 @@ class _Search:
         self.scenario = scenario
         self.mode = mode
         self.frames = frames
-        self.queues = _first_fit_queues(scenario) if mode == "fic" else {}
+        self.queues = _queue_map(scenario, mode)
         n = len(frames)
         self.offsets: list[int | None] = [None] * n
         self.floors = [0] * n
@@ -92,7 +95,7 @@ class _Search:
         self.first_idx: list[int | None] = [None] * n  # set on last hops only
         self.e2e_slack = [0] * n
         self.iso_checked = [False] * n
-        self.queue_of = [NFIC_QUEUE] * n
+        self.queue_of = [self.queues.get((fi.stream, fi.link)) for fi in frames]  # None off switch egress
         reach = [0] * n  # least time from the first hop's start to this start
         for i, fi in enumerate(frames):
             self.on_link.setdefault(fi.link, []).append(i)
@@ -113,7 +116,6 @@ class _Search:
                     self.first_idx[i] = index_of[(fi.stream, s.route[0], fi.slot)]
                     self.e2e_slack[i] = slack
             self.iso_checked[i] = mode == "fic" and scenario.is_switch_egress(fi.link)
-            self.queue_of[i] = self.queues.get((fi.stream, fi.link), NFIC_QUEUE)
 
     def abs_offset(self, i: int) -> int:
         return self.offsets[i] + self.slot_base[i]
@@ -199,7 +201,7 @@ class _Search:
 def lstb_solve(scenario: Scenario, mode: str = "nfic", limits: LstbLimits | None = None) -> LstbResult:
     """Run the heuristic search; ``mode`` is ``"fic"`` (isolation checked
     against a deterministic first-fit queue pre-assignment) or ``"nfic"``
-    (isolation skipped, every stream on the shared-queue constant)."""
+    (isolation skipped, every stream on its link's shared queue)."""
     if mode not in ("fic", "nfic"):
         raise InvalidInputError(f"unknown mode {mode!r} (expected 'fic' or 'nfic')")
     limits = limits or LstbLimits()
@@ -235,13 +237,7 @@ def lstb_solve(scenario: Scenario, mode: str = "nfic", limits: LstbLimits | None
             return LstbResult("limit", None, search.backjumps, time.perf_counter() - start_time)
         i = target
 
-    sched = Schedule()
+    sched = Schedule(queues=search.queues)
     for idx, fi in enumerate(frames):
         sched.offsets[(fi.stream, fi.link, fi.slot)] = search.abs_offset(idx)
-    for s in scenario.streams:
-        for key in s.route:
-            if scenario.is_switch_egress(key):
-                sched.queues[(s.id, key)] = (
-                    search.queues[(s.id, key)] if mode == "fic" else NFIC_QUEUE
-                )
     return LstbResult("sat", sched, search.backjumps, time.perf_counter() - start_time)

@@ -6,13 +6,20 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import InvalidInputError, Scenario, ns_to_us_str
+from .model import InvalidInputError, ns_to_us_str
 
-NFIC_QUEUE = 4  # shared-queue index all streams use when isolation is disabled
+NFIC_QUEUE = 4  # the paper's shared queue when isolation is disabled
 
-__all__ = ["NFIC_QUEUE", "Schedule", "load_schedule", "save_schedule"]
+__all__ = ["NFIC_QUEUE", "Schedule", "load_schedule", "nfic_queue", "save_schedule"]
 
 LinkKey = tuple[str, str]
+
+
+def nfic_queue(queue_count: int) -> int:
+    """The shared queue every stream takes on a switch egress link with
+    ``queue_count`` queues when isolation is disabled: queue 4, or the
+    link's highest queue when it has fewer than five."""
+    return min(NFIC_QUEUE, queue_count - 1)
 
 
 @dataclass
@@ -22,22 +29,13 @@ class Schedule:
 
     Offsets are nanoseconds within the link hyper-period and include the
     slot displacement (``slot_relative + slot * period``).  The talker's
-    send times are the offsets on each stream's first route link.
+    send times are the offsets on each stream's first route link.  A
+    switch egress hop without a queue assignment uses the link's shared
+    queue (:func:`nfic_queue`).
     """
 
     offsets: dict[tuple[str, LinkKey, int], int] = field(default_factory=dict)
     queues: dict[tuple[str, LinkKey], int] = field(default_factory=dict)
-
-    def talker_offsets(self, scenario: Scenario) -> dict[tuple[str, int], int]:
-        out: dict[tuple[str, int], int] = {}
-        for s in scenario.streams:
-            first = s.route[0]
-            n = scenario.slots_of(s)
-            for slot in range(n):
-                key = (s.id, first, slot)
-                if key in self.offsets:
-                    out[(s.id, slot)] = self.offsets[key]
-        return out
 
     def offset(self, stream: str, link: LinkKey, slot: int) -> int:
         try:
@@ -47,8 +45,8 @@ class Schedule:
                 f"schedule has no offset for {stream} on {link[0]}->{link[1]} slot {slot}"
             ) from None
 
-    def queue_of(self, stream: str, link: LinkKey) -> int:
-        return self.queues.get((stream, link), NFIC_QUEUE)
+    def queue_of(self, stream: str, link: LinkKey, queue_count: int) -> int:
+        return self.queues.get((stream, link), nfic_queue(queue_count))
 
     def to_dict(self) -> dict:
         return {

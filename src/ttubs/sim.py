@@ -17,7 +17,9 @@ Switch egress runs in one of two modes, set per switch:
 
 End-station egress is one ungated, unshaped queue.  Each stream's route is
 resolved once into a plan of one (egress port, shared queue, shaped queue
-or none) per hop, which every send, arrival and release reads.
+or none) per hop, which every send, arrival and release reads.  The shared
+queue of a switch egress hop is the deployment's; talkers send at the
+offsets of their stream's talker row in the shaper table.
 
 Propagation and, at a switch, its processing delay pass between a frame's
 last bit leaving the sender and its arrival event (``arrival_lag_ns``), so
@@ -43,7 +45,6 @@ import numpy as np
 
 from .artifacts import Deployment
 from .model import N_QUEUES, InvalidInputError, Scenario, bytes_to_duration
-from .schedule import NFIC_QUEUE
 
 __all__ = [
     "AttackConfig",
@@ -239,7 +240,7 @@ class _Engine:
                 port = ports[key]
                 queue, shaped = 0, None
                 if scenario.is_switch_egress(key):
-                    queue = dep.queues.get((s.id, key), NFIC_QUEUE)
+                    queue = dep.queues[(s.id, key)]
                     if config.mode_of(key[0]) == "ttubs":
                         row = dep.table.row_for(s.id, key)
                         shaped = _ShapedQueue(row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
@@ -254,12 +255,9 @@ class _Engine:
             state = MeterState(cfg)
             self.meters.setdefault((cfg.switch, cfg.ingress), []).append([state, []])
 
-        # talker sends
+        # talker sends, from each stream's talker row
         for i, s in enumerate(self.streams):
-            for slot in range(scenario.slots_of(s)):
-                if (s.id, slot) not in dep.talker_offsets:
-                    raise InvalidInputError(f"deployment lacks talker offset for {s.id} slot {slot}")
-                t0 = dep.talker_offsets[(s.id, slot)]
+            for slot, t0 in enumerate(dep.table.row_for(s.id, s.route[0]).eligibility_offsets_ns):
                 if t0 < config.sim_duration_ns:
                     self.push(t0, PH_SEND, (i, slot))
 

@@ -277,7 +277,7 @@ def test_latency_breakdown_reconciles(adas, table3):
 def test_deployment_bundle(adas, table3):
     dep = build_deployment(adas, table3)
     assert set(dep.gcls) == {SW2_SW1, SW1_CH}
-    assert dep.talker_offsets[("cam1", 1)] == 100_000
+    assert dep.table.row_for("cam1", ("AV1", "SW2")).eligibility_offsets_ns[1] == 100_000
     assert dep.queues[("cam1", SW2_SW1)] == 4
     doc = dep.to_dict()
     assert doc["shaper_offset_table"]["rows"]

@@ -1,10 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttubs.artifacts import build_deployment
 from ttubs.constraints import build_constraint_set, census, validate_schedule
 from ttubs.harness import ChainSpec, gen_chain
-from ttubs.model import InvalidInputError, Scenario, Stream
-from ttubs.schedule import Schedule
+from ttubs.lstb import lstb_solve
+from ttubs.model import InvalidInputError, Link, Scenario, Stream
+from ttubs.schedule import Schedule, nfic_queue
+from ttubs.sim import SimConfig, run
+from ttubs.smt import SolveRequest, solve
 
 US = 1_000
 
@@ -182,6 +186,25 @@ def test_validate_reports_queue_outside_domain(adas, table6, bad):
     # both used to validate
     mod = Schedule(offsets=dict(table6.offsets), queues=dict(table6.queues))
     mod.queues[("cam1", ("SW2", "SW1"))] = bad
-    violated = validate_schedule(adas, mod, "wa")
-    domain = [v for v in violated if v.category == "domain"]
-    assert len(domain) == 1 and "cam1@SW2->SW1" in domain[0].label
+    for mode in ("wa", "nfic"):
+        violated = validate_schedule(adas, mod, mode)
+        domain = [v for v in violated if v.category == "domain"]
+        assert len(domain) == 1 and "cam1@SW2->SW1" in domain[0].label, mode
+
+
+def test_nfic_queue_is_highest_queue_on_small_links():
+    # both engines used to put the stream on queue 4 of a one-queue link,
+    # and validation accepted it
+    assert [nfic_queue(n) for n in (1, 4, 5, 8)] == [0, 3, 4, 4]
+    sc = Scenario(
+        (("A", "end-station"), ("S", "switch"), ("B", "end-station")),
+        (Link("A", "S", 10**9), Link("S", "B", 10**9, queue_count=1)),
+        (Stream("s", 100 * US, 100, 200, (("A", "S"), ("S", "B")), 100 * US, 10 * US),),
+    )
+    for sched in (lstb_solve(sc, "nfic").schedule, solve(SolveRequest(sc, "nfic")).schedule):
+        assert sched.queues == {("s", ("S", "B")): 0}
+        assert validate_schedule(sc, sched, "nfic") == []
+        dep = build_deployment(sc, sched)
+        for egress in ("tas", "ttubs"):
+            m = run(SimConfig(sc, dep, egress, sim_duration_ns=1_000_000)).metrics["s"]
+            assert m.sent == 10 and m.delivered == m.sent, egress

@@ -2,7 +2,7 @@ import pytest
 
 from dataclasses import replace
 
-from ttubs.artifacts import GateControlList, GclInterval, build_deployment, e2e_per_slot
+from ttubs.artifacts import GateControlList, GclInterval, ShaperOffsetTable, build_deployment, e2e_per_slot
 from ttubs.harness import table5_delay, table5_drop
 from ttubs.model import InvalidInputError, Link, Scenario, Stream
 from ttubs.schedule import Schedule
@@ -258,6 +258,12 @@ def test_rejected_config_opens_no_trace(adas, dep3, tmp_path):
     path = tmp_path / "trace.csv"
     with pytest.raises(InvalidInputError):
         run(SimConfig(adas, replace(dep3, gcls={}), "tas", sim_duration_ns=SHORT), trace_path=str(path))
+    assert not path.exists()
+    # a table without cam1's talker row gives no send times for cam1
+    rows = tuple(r for r in dep3.table.rows if (r.stream, r.ingress) != ("cam1", None))
+    with pytest.raises(InvalidInputError, match="no shaper row for cam1"):
+        run(SimConfig(adas, replace(dep3, table=ShaperOffsetTable(rows)), "ttubs", sim_duration_ns=SHORT),
+            trace_path=str(path))
     assert not path.exists()
 
 
