@@ -246,6 +246,17 @@ def schedule_from_table(scenario: Scenario, table: ShaperOffsetTable) -> Schedul
     return sched
 
 
+def _deployed_queue(scenario: Scenario, schedule: Schedule, stream: str, link: LinkKey) -> int:
+    """The schedule's queue for ``stream`` on ``link``; a queue the port
+    does not have (outside ``0..queue_count-1``, or past the gate list's
+    ``N_QUEUES``) cannot be deployed."""
+    count = min(scenario.link(link).queue_count, N_QUEUES)
+    q = schedule.queue_of(stream, link, count)
+    if not 0 <= q < count:
+        raise InvalidInputError(f"queue {q} of {stream} on {link[0]}->{link[1]} is outside 0..{count - 1}")
+    return q
+
+
 def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateControlList:
     """Cyclic gate list for one egress port: inside each reserved frame
     window exactly the frame's queue is open and every other queue closed;
@@ -260,7 +271,7 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
         if link not in s.route:
             continue
         dur = bytes_to_duration(s.payload_max, rate)
-        q = schedule.queue_of(s.id, link, scenario.link(link).queue_count)
+        q = _deployed_queue(scenario, schedule, s.id, link)
         tt_queues.add(q)
         for slot in range(scenario.slots_of(s)):
             start = schedule.offset(s.id, link, slot)
@@ -317,7 +328,7 @@ def build_deployment(scenario: Scenario, schedule: Schedule) -> Deployment:
                 continue
             if key not in gcls:
                 gcls[key] = build_gcl(scenario, schedule, key)
-            queues[(s.id, key)] = schedule.queue_of(s.id, key, scenario.link(key).queue_count)
+            queues[(s.id, key)] = _deployed_queue(scenario, schedule, s.id, key)
     return Deployment(table, gcls, queues)
 
 

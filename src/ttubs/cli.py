@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .artifacts import build_deployment
-from .constraints import census, validate_schedule
+from .constraints import census
 from .harness import (
     ChainSpec,
     ExperimentPlan,
     fault_preset,
     gen_chain,
     metrics_csv,
+    replay,
     replay_fixture,
     report_census,
     report_metrics,
@@ -31,7 +31,7 @@ from .harness import (
 from .lstb import LstbLimits, lstb_solve
 from .model import load_scenario, save_scenario
 from .schedule import load_schedule, save_schedule
-from .sim import AttackConfig, SimConfig, run
+from .sim import AttackConfig
 from .smt import SolveRequest, solve
 
 
@@ -99,26 +99,21 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--timeout-s", type=float, default=300.0)
     s.add_argument("--out", default=None)
 
-    m = sub.add_parser("simulate", help="deploy a schedule and simulate")
+    m = sub.add_parser("simulate", help="validate, deploy and simulate a schedule")
     m.add_argument("scenario")
     m.add_argument("schedule")
     m.add_argument("--mode", choices=["wa", "nfic"], default="nfic", help="validation mode for the schedule")
-    m.add_argument("--egress", choices=["tas", "ttubs"], default="ttubs")
-    m.add_argument("--seed", type=int, default=1)
-    m.add_argument("--duration-s", type=float, default=10.0)
-    m.add_argument("--attack", action="append", default=[], type=_parse_attack)
-    m.add_argument("--trace", default=None, help="write the event trace CSV here")
-    m.add_argument("--out", default=None, help="write per-stream metrics CSV here")
 
     r = sub.add_parser("replay", help="replay a bundled fixture schedule")
     r.add_argument("fixture", choices=list(fixtures.FIXTURE_NAMES))
-    r.add_argument("--egress", choices=["tas", "ttubs"], default="ttubs")
     r.add_argument("--fault", choices=["none", "loss", "timeout", "timeout-long"], default="none")
-    r.add_argument("--attack", action="append", default=[], type=_parse_attack)
-    r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--duration-s", type=float, default=10.0)
-    r.add_argument("--trace", default=None)
-    r.add_argument("--out", default=None)
+    for q in (m, r):
+        q.add_argument("--egress", choices=["tas", "ttubs"], default="ttubs")
+        q.add_argument("--attack", action="append", default=[], type=_parse_attack)
+        q.add_argument("--seed", type=int, default=1)
+        q.add_argument("--duration-s", type=float, default=10.0)
+        q.add_argument("--trace", default=None, help="write the event trace CSV here")
+        q.add_argument("--out", default=None, help="write per-stream metrics CSV here")
 
     sc_ = sub.add_parser("study-census", help="constraint-count scaling sweep")
     sc_.add_argument("--switches", type=_int_list, default=(1, 10))
@@ -192,44 +187,24 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.out}")
         return 0 if sched is not None else 1
 
-    if args.cmd == "simulate":
-        scenario = load_scenario(args.scenario)
-        sched = load_schedule(args.schedule)
-        violations = validate_schedule(scenario, sched, args.mode)
-        if violations:
-            print(f"schedule invalid ({len(violations)} violations), first: {violations[0].label}")
+    if args.cmd in ("simulate", "replay"):
+        duration = int(args.duration_s * 1_000_000_000)
+        if args.cmd == "simulate":
+            scenario, sched = load_scenario(args.scenario), load_schedule(args.schedule)
+            rep = replay(scenario, sched, args.mode, args.egress, tuple(args.attack), args.seed, duration, args.trace)
+        else:
+            faults = fault_preset(args.fault) + tuple(args.attack)
+            rep = replay_fixture(args.fixture, args.egress, faults, args.seed, duration, args.trace)
+        if not rep.validation_ok:
+            print(f"schedule invalid ({len(rep.violations)} violations), first: {rep.violations[0].label}")
             return 1
-        dep = build_deployment(scenario, sched)
-        rep = run(
-            SimConfig(
-                scenario,
-                dep,
-                args.egress,
-                tuple(args.attack),
-                args.seed,
-                int(args.duration_s * 1_000_000_000),
-            ),
-            trace_path=args.trace,
-        )
-        _write(args.out, metrics_csv(rep.metrics))
-        return 0
-
-    if args.cmd == "replay":
-        faults = fault_preset(args.fault) + tuple(args.attack)
-        rep = replay_fixture(
-            args.fixture,
-            args.egress,
-            faults,
-            args.seed,
-            int(args.duration_s * 1_000_000_000),
-            trace_path=args.trace,
-        )
-        print(
-            f"fixture={rep.fixture} validation={'ok' if rep.validation_ok else 'VIOLATED'}"
-            + (f" filled={rep.partial_fill}" if rep.partial_fill else "")
-            + f" requirements={'met' if rep.requirements_met else 'VIOLATED'}"
-            + f" shaper_discards={rep.shaper_discards}"
-        )
+        if args.cmd == "replay":
+            print(
+                f"fixture={rep.fixture} validation=ok"
+                + (f" filled={rep.partial_fill}" if rep.partial_fill else "")
+                + f" requirements={'met' if rep.requirements_met else 'VIOLATED'}"
+                + f" shaper_discards={rep.shaper_discards}"
+            )
         _write(args.out, metrics_csv(rep.metrics))
         return 0
 
@@ -274,15 +249,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.replay_matrix:
             duration = int(args.duration_s * 1_000_000_000)
-            reports = []
-            for egress in ("tas", "ttubs"):
-                for fault in ("none", "loss", "timeout"):
-                    reports.append(
-                        replay_fixture("table3", egress, fault_preset(fault), args.seed, duration)
-                    )
-            reports.append(
-                replay_fixture("table3", "ttubs", fault_preset("timeout-long"), args.seed, duration)
-            )
+            cases = [(e, f) for e in ("tas", "ttubs") for f in ("none", "loss", "timeout")]
+            cases.append(("ttubs", "timeout-long"))
+            reports = [replay_fixture("table3", e, fault_preset(f), args.seed, duration) for e, f in cases]
             _write(args.out, report_metrics(reports))
             return 0
         p.error("report needs --census or --replay-matrix")

@@ -24,6 +24,7 @@ __all__ = [
     "table8_schedule",
     "fixture_schedule",
     "FIXTURE_NAMES",
+    "VALIDATION_MODES",
 ]
 
 US = 1_000  # ns per microsecond
@@ -32,6 +33,8 @@ SW2_SW1 = ("SW2", "SW1")
 SW1_CH = ("SW1", "CentralHost")
 
 FIXTURE_NAMES = ("table3", "table6", "table7", "table8")
+# the mode each fixture's schedule validates in: only table6 separates queues
+VALIDATION_MODES = {"table3": "nfic", "table6": "wa", "table7": "nfic", "table8": "nfic"}
 
 
 def adas_scenario() -> Scenario:

@@ -6,15 +6,16 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fixtures
 from .artifacts import build_deployment
-from .constraints import CATEGORIES, census, validate_schedule
+from .constraints import CATEGORIES, GroundConstraint, census, validate_schedule
 from .lstb import LstbLimits, lstb_solve
 from .model import InvalidInputError, Link, Scenario, Stream, ns_to_us_str
+from .schedule import Schedule
 from .sim import AttackConfig, SimConfig, StreamMetrics, run
 from .smt import SolveRequest, solve
 
@@ -24,6 +25,7 @@ __all__ = [
     "gen_chain",
     "run_census_study",
     "run_solver_study",
+    "replay",
     "replay_fixture",
     "table5_drop",
     "table5_delay",
@@ -34,6 +36,8 @@ __all__ = [
 ]
 
 MS = 1_000_000
+STATIONS_PER_SWITCH = 3
+RATE_BPS = 1_000_000_000  # every chain link
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,6 @@ class ChainSpec:
     switch_count: int
     stream_count: int
     rng_seed: int = 0
-    stations_per_switch: int = 3
-    rate_bps: int = 1_000_000_000
     periods_ns: tuple[int, ...] = (10 * MS, 20 * MS)
     sizes: tuple[int, ...] = (400, 600, 800, 1000, 1500)
 
@@ -76,16 +78,16 @@ def gen_chain(spec: ChainSpec) -> Scenario:
     station_switch: dict[str, int] = {}
     for i, sw in enumerate(switches):
         nodes.append((sw, "switch"))
-        for j in range(spec.stations_per_switch):
+        for j in range(STATIONS_PER_SWITCH):
             es = f"ES{i + 1}_{j + 1}"
             nodes.append((es, "end-station"))
             stations.append(es)
             station_switch[es] = i
-            links.append(Link(es, sw, spec.rate_bps))
-            links.append(Link(sw, es, spec.rate_bps))
+            links.append(Link(es, sw, RATE_BPS))
+            links.append(Link(sw, es, RATE_BPS))
     for a, b in zip(switches, switches[1:]):
-        links.append(Link(a, b, spec.rate_bps))
-        links.append(Link(b, a, spec.rate_bps))
+        links.append(Link(a, b, RATE_BPS))
+        links.append(Link(b, a, RATE_BPS))
 
     streams: list[Stream] = []
     for k in range(spec.stream_count):
@@ -132,7 +134,7 @@ def _census_cell(args) -> dict:
         for cat in CATEGORIES:
             sums[cat] += c[cat]
     row = {
-        "devices": switches * 4,
+        "devices": switches * (STATIONS_PER_SWITCH + 1),
         "streams": streams,
         "repetitions": reps,
     }
@@ -168,7 +170,7 @@ def _solver_cell(args) -> list[dict]:
         out = solve(SolveRequest(sc, mode, timeout_s=timeout_s))
         rows.append(
             {
-                "devices": switches * 4,
+                "devices": switches * (STATIONS_PER_SWITCH + 1),
                 "streams": streams,
                 "rep": rep,
                 "engine": "smt",
@@ -183,7 +185,7 @@ def _solver_cell(args) -> list[dict]:
         res = lstb_solve(sc, mode, LstbLimits(wall_clock_s=timeout_s))
         rows.append(
             {
-                "devices": switches * 4,
+                "devices": switches * (STATIONS_PER_SWITCH + 1),
                 "streams": streams,
                 "rep": rep,
                 "engine": "lstb",
@@ -247,14 +249,53 @@ def fault_preset(name: str) -> tuple[AttackConfig, ...]:
 
 @dataclass
 class ReplayReport:
+    """A judged replay.  A schedule with violations in its validation mode
+    is never simulated: its report has no metrics and meets nothing."""
+
     fixture: str
-    egress_mode: str
-    validation_ok: bool
-    partial_fill: list
-    metrics: dict[str, StreamMetrics]
-    shaper_discards: int
-    requirements_met: bool
+    egress_mode: str | dict[str, str]
+    violations: list[GroundConstraint]
+    metrics: dict[str, StreamMetrics] = field(default_factory=dict)
+    shaper_discards: int = 0
+    partial_fill: list = field(default_factory=list)
     trace_path: str | None = None
+
+    @property
+    def validation_ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def requirements_met(self) -> bool:
+        return self.validation_ok and all(map(_met, self.metrics.values()))
+
+
+def _met(m: StreamMetrics) -> bool:
+    """A stream's traffic requirements: no deadline miss, jitter in bound."""
+    return m.deadline_violations == 0 and not m.jitter_violation
+
+
+def replay(
+    scenario: Scenario,
+    schedule: Schedule,
+    mode: str,
+    egress_mode: str | dict[str, str],
+    faults: tuple[AttackConfig, ...],
+    rng_seed: int,
+    sim_duration_ns: int,
+    trace_path: str | None = None,
+) -> ReplayReport:
+    """Validate a schedule in ``mode``; if it holds, deploy it, simulate,
+    and judge the outcome against the traffic requirements (deadline and
+    jitter)."""
+    violations = validate_schedule(scenario, schedule, mode)
+    if violations:
+        return ReplayReport(scenario.name, egress_mode, violations)
+    dep = build_deployment(scenario, schedule)
+    rep = run(
+        SimConfig(scenario, dep, egress_mode, tuple(faults), rng_seed, sim_duration_ns),
+        trace_path=trace_path,
+    )
+    return ReplayReport(scenario.name, egress_mode, [], rep.metrics, rep.shaper_discards, trace_path=trace_path)
 
 
 def replay_fixture(
@@ -265,30 +306,14 @@ def replay_fixture(
     sim_duration_ns: int = 10_000_000_000,
     trace_path: str | None = None,
 ) -> ReplayReport:
-    """Validate a bundled schedule, deploy it, simulate, and judge the
-    outcome against the traffic requirements (deadline and jitter)."""
+    """:func:`replay` of a bundled schedule in its fixture's validation
+    mode."""
     sc = fixtures.adas_scenario()
     sched, filled = fixtures.fixture_schedule(name, sc)
-    mode = "wa" if name == "table6" else "nfic"
-    violations = validate_schedule(sc, sched, mode)
-    dep = build_deployment(sc, sched)
-    rep = run(
-        SimConfig(sc, dep, egress_mode, tuple(faults), rng_seed, sim_duration_ns),
-        trace_path=trace_path,
-    )
-    met = all(
-        m.deadline_violations == 0 and not m.jitter_violation for m in rep.metrics.values()
-    )
-    return ReplayReport(
-        fixture=name,
-        egress_mode=egress_mode,
-        validation_ok=not violations,
-        partial_fill=filled,
-        metrics=rep.metrics,
-        shaper_discards=rep.shaper_discards,
-        requirements_met=met,
-        trace_path=trace_path,
-    )
+    mode = fixtures.VALIDATION_MODES[name]
+    rep = replay(sc, sched, mode, egress_mode, faults, rng_seed, sim_duration_ns, trace_path)
+    rep.fixture, rep.partial_fill = name, filled
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +330,27 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _us(ns: int | None) -> str:
+    """CSV cell of a latency or jitter; empty when no frame arrived."""
+    return ns_to_us_str(ns) if ns is not None else ""
+
+
 def metrics_csv(metrics: dict[str, StreamMetrics]) -> str:
-    rows = []
-    for sid, m in metrics.items():
-        rows.append(
-            {
-                "stream": sid,
-                "sent": m.sent,
-                "delivered": m.delivered,
-                "attack_dropped": m.drops["attack_dropped"],
-                "timeout_discarded": m.drops["timeout_discarded"],
-                "displaced": m.drops["displaced"],
-                "stranded": m.drops["stranded"],
-                "e2e_max_us": ns_to_us_str(m.e2e_max_ns) if m.e2e_max_ns is not None else "",
-                "e2e_min_us": ns_to_us_str(m.e2e_min_ns) if m.e2e_min_ns is not None else "",
-                "e2e_mean_us": f"{m.e2e_mean_ns / 1000:.3f}" if m.e2e_mean_ns is not None else "",
-                "jitter_us": ns_to_us_str(m.jitter_ns) if m.jitter_ns is not None else "",
-                "deadline_violations": m.deadline_violations,
-                "jitter_violation": int(m.jitter_violation),
-            }
-        )
+    rows = [
+        {
+            "stream": sid,
+            "sent": m.sent,
+            "delivered": m.delivered,
+            **m.drops,
+            "e2e_max_us": _us(m.e2e_max_ns),
+            "e2e_min_us": _us(m.e2e_min_ns),
+            "e2e_mean_us": f"{m.e2e_mean_ns / 1000:.3f}" if m.e2e_mean_ns is not None else "",
+            "jitter_us": _us(m.jitter_ns),
+            "deadline_violations": m.deadline_violations,
+            "jitter_violation": int(m.jitter_violation),
+        }
+        for sid, m in metrics.items()
+    ]
     return rows_to_csv(rows)
 
 
@@ -347,19 +373,16 @@ def report_census(rows: list[dict]) -> str:
 def report_metrics(reports: list[ReplayReport]) -> str:
     """One row per (fixture, egress, stream): max latency and jitter, the
     per-stream axes of the replay studies."""
-    rows = []
-    for rep in reports:
-        for sid, m in rep.metrics.items():
-            rows.append(
-                {
-                    "fixture": rep.fixture,
-                    "egress": rep.egress_mode,
-                    "stream": sid,
-                    "e2e_max_us": ns_to_us_str(m.e2e_max_ns) if m.e2e_max_ns is not None else "",
-                    "jitter_us": ns_to_us_str(m.jitter_ns) if m.jitter_ns is not None else "",
-                    "requirements_met": int(
-                        m.deadline_violations == 0 and not m.jitter_violation
-                    ),
-                }
-            )
+    rows = [
+        {
+            "fixture": rep.fixture,
+            "egress": rep.egress_mode,
+            "stream": sid,
+            "e2e_max_us": _us(m.e2e_max_ns),
+            "jitter_us": _us(m.jitter_ns),
+            "requirements_met": int(_met(m)),
+        }
+        for rep in reports
+        for sid, m in rep.metrics.items()
+    ]
     return rows_to_csv(rows)

@@ -326,7 +326,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    return Scenario(
+    """The scenario of a JSON document; raises :class:`InvalidInputError`
+    listing every defect :func:`validate_scenario` finds."""
+    scenario = Scenario(
         name=doc.get("name", "scenario"),
         sync_precision_ns=int(doc.get("sync_precision_ns", 0)),
         nodes=tuple((n["id"], n["kind"]) for n in doc["nodes"]),
@@ -354,6 +356,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             for s in doc["streams"]
         ),
     )
+    defects = validate_scenario(scenario)
+    if defects:
+        raise InvalidInputError(f"invalid scenario {scenario.name!r}: " + "; ".join(defects))
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -73,8 +73,8 @@ DROP_CAUSES = ("attack_dropped", "timeout_discarded", "displaced", "stranded")
 class AttackConfig:
     """Fault injection bound to one ingress filter chain of a switch.
 
-    ``attack_type`` 1/'drop' discards, 2/'delay' holds frames for
-    ``delay_time_ns``.  The first ``frame_count`` matching frames fully
+    ``attack_type`` 'drop' discards, 'delay' holds frames for
+    ``delay_time_ns`` (the command line also takes 1 and 2 for them).  The first ``frame_count`` matching frames fully
     received at or after ``startup_time_ns`` are acted on.  ``match_stream``
     narrows the chain to one stream; None matches every stream on the
     ingress."""

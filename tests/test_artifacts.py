@@ -281,3 +281,15 @@ def test_deployment_bundle(adas, table3):
     assert dep.queues[("cam1", SW2_SW1)] == 4
     doc = dep.to_dict()
     assert doc["shaper_offset_table"]["rows"]
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_deployment_rejects_queue_the_port_lacks(adas, table6, bad):
+    # a port has queues 0..7: 9 would index past them and -1 would alias
+    # queue 7, and either leaves cam1's window with every gate closed
+    mod = Schedule(offsets=dict(table6.offsets), queues=dict(table6.queues))
+    mod.queues[("cam1", SW2_SW1)] = bad
+    with pytest.raises(InvalidInputError, match=rf"queue {bad} of cam1 on SW2->SW1 is outside 0\.\.7"):
+        build_deployment(adas, mod)
+    with pytest.raises(InvalidInputError, match=rf"queue {bad} of cam1"):
+        build_gcl(adas, mod, SW2_SW1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ttubs import harness
 from ttubs.cli import main
 from ttubs.constraints import census
 from ttubs.harness import (
@@ -11,6 +12,7 @@ from ttubs.harness import (
     ExperimentPlan,
     fault_preset,
     gen_chain,
+    replay,
     replay_fixture,
     report_census,
     report_metrics,
@@ -18,7 +20,8 @@ from ttubs.harness import (
     run_census_study,
     run_solver_study,
 )
-from ttubs.model import load_scenario, validate_scenario
+from ttubs.model import load_scenario, save_scenario, validate_scenario
+from ttubs.schedule import Schedule, save_schedule
 
 US = 1_000
 
@@ -99,6 +102,39 @@ def test_replay_table8_long_delay():
     rep = replay_fixture("table8", "ttubs", fault_preset("timeout-long"), 1, 10_000_000)
     assert rep.requirements_met
     assert rep.shaper_discards >= 2
+
+
+def _table6_cam1_queue_9(table6):
+    bad = Schedule(offsets=dict(table6.offsets), queues=dict(table6.queues))
+    bad.queues[("cam1", ("SW2", "SW1"))] = 9
+    return bad
+
+
+def test_replay_never_simulates_invalid_schedule(adas, table6, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an invalid schedule reached sim.run")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    bad = _table6_cam1_queue_9(table6)
+    for mode in ("wa", "nfic"):
+        rep = replay(adas, bad, mode, "tas", (), 1, 2_000_000, str(tmp_path / "trace.csv"))
+        assert [v.category for v in rep.violations] == ["domain"], mode
+        assert not rep.validation_ok and not rep.requirements_met
+        assert rep.metrics == {} and rep.trace_path is None
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_cli_simulate_refuses_invalid_schedule(adas, table6, tmp_path, capsys):
+    save_scenario(adas, tmp_path / "adas.json")
+    save_schedule(_table6_cam1_queue_9(table6), tmp_path / "bad.json")
+    out_path = tmp_path / "m.csv"
+    code = main(["simulate", str(tmp_path / "adas.json"), str(tmp_path / "bad.json"),
+                 "--mode", "wa", "--egress", "tas", "--duration-s", "0.002", "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "schedule invalid (1 violations), first: domain[cam1@SW2->SW1: queue 9 not in 0..7]\n"
+    )
+    assert not out_path.exists()
 
 
 def test_fault_presets():

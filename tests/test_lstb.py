@@ -108,3 +108,25 @@ def test_single_hop_deadline(deadline, status):
         assert res.status == status
         if status == "sat":
             assert validate_schedule(sc, res.schedule, check) == []
+
+
+def test_fic_isolation_moves_second_stream_off_shared_queue():
+    # SW->ES3 has one queue, so a and b share queue 0, and b's frame may not
+    # be queued at SW before a's starts there (976 ns): b's first hop moves
+    # from 0 to 80 ns, so its 896-ns frame arrives at 976 ns
+    sc = Scenario(
+        (("ES1", "end-station"), ("ES2", "end-station"), ("SW", "switch"), ("ES3", "end-station")),
+        (Link("ES1", "SW", 10**9), Link("ES2", "SW", 10**9), Link("SW", "ES3", 10**9, queue_count=1)),
+        (
+            Stream("a", 100 * US, 100, 100, (("ES1", "SW"), ("SW", "ES3")), 100 * US, 100 * US),
+            Stream("b", 100 * US, 90, 90, (("ES2", "SW"), ("SW", "ES3")), 100 * US, 100 * US),
+        ),
+    )
+    res = lstb_solve(sc, "fic")
+    assert res.status == "sat"
+    assert res.schedule.queues == {("a", ("SW", "ES3")): 0, ("b", ("SW", "ES3")): 0}
+    assert res.schedule.offsets[("b", ("ES2", "SW"), 0)] == 80
+    assert validate_schedule(sc, res.schedule, "wa") == []
+    # without the check, b's first hop stays at 0 and breaks isolation
+    nfic = lstb_solve(sc, "nfic").schedule
+    assert [v.label for v in validate_schedule(sc, nfic, "wa")] == ["isolation[SW->ES3: a#0 vs b#0]"]

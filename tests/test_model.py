@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from ttubs.model import (
     bytes_to_duration,
     expand_frame_instances,
     hyper_period,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
@@ -173,3 +176,64 @@ def test_validate_rejects_more_queues_than_ports_have():
     assert any("queue_count" in d for d in validate_scenario(Scenario(nodes, links, (stream,))))
     ok = (links[0], Link("S", "B", 1_000_000_000, queue_count=N_QUEUES))
     assert validate_scenario(Scenario(nodes, ok, (stream,))) == []
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _append(key, item):
+    return lambda doc: doc[key].append(item)
+
+
+CAM1_ROUTE = [["AV1", "SW2"], ["SW2", "SW1"], ["SW1", "CentralHost"]]
+
+
+# one mutation of the ADAS document per defect validate_scenario reports
+SCENARIO_DEFECTS = {
+    "duplicate node ids": _append("nodes", {"id": "AV1", "kind": "end-station"}),
+    "node X: unknown kind 'router'": _append("nodes", {"id": "X", "kind": "router"}),
+    "link AV1->SW2: duplicate (src, dst)": _append("links", {"src": "AV1", "dst": "SW2", "rate_bps": 10**9}),
+    "link AV1->SW2: rate must be positive": _set(("links", 0, "rate_bps"), 0),
+    "link SW2->SW1: queue_count must be in 1..8": _set(("links", 4, "queue_count"), 9),
+    "link SW2->SW1: negative delay": _set(("links", 4, "prop_delay_ns"), -1),
+    "link SW1->X: unknown node X": _append("links", {"src": "SW1", "dst": "X", "rate_bps": 10**9}),
+    "stream cam1: duplicate id": _set(("streams", 1, "id"), "cam1"),
+    "stream cam1: payload bounds must satisfy 0 < min <= max <= 1500": _set(("streams", 0, "payload_min"), 0),
+    "stream cam1: period must be positive": _set(("streams", 0, "period_ns"), 0),
+    "stream cam1: deadline must be positive": _set(("streams", 0, "e2e_deadline_ns"), 0),
+    "stream cam1: jitter requirement must be >= 0": _set(("streams", 0, "jitter_req_ns"), -1),
+    "stream cam1: empty route": _set(("streams", 0, "route"), []),
+    "stream cam1: route uses unknown link SW1->AV1": _set(("streams", 0, "route", 2), ["SW1", "AV1"]),
+    "stream cam1: route not a path at SW2/SW1": _set(("streams", 0, "route"), CAM1_ROUTE[::2]),
+    "stream cam1: talker SW2 is not an end-station": _set(("streams", 0, "route"), CAM1_ROUTE[1:]),
+    "stream cam1: listener SW1 is not an end-station": _set(("streams", 0, "route"), CAM1_ROUTE[:-1]),
+    "sync_precision must be >= 0": _set(("sync_precision_ns",), -1),
+}
+
+
+@pytest.mark.parametrize("defect", SCENARIO_DEFECTS)
+def test_scenario_from_dict_rejects_each_defect(adas, defect):
+    doc = scenario_to_dict(adas)
+    SCENARIO_DEFECTS[defect](doc)
+    with pytest.raises(InvalidInputError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"invalid scenario 'adas_star': {defect}"
+
+
+def test_load_scenario_lists_every_defect(adas, tmp_path):
+    # a nine-queue link would give a wa queue domain of 0..8, one queue more
+    # than a simulated port has
+    doc = scenario_to_dict(adas)
+    doc["links"][4]["queue_count"] = 9
+    doc["links"][0]["rate_bps"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match="rate must be positive; link SW2->SW1: queue_count"):
+        load_scenario(path)
