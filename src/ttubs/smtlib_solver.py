@@ -17,12 +17,19 @@ It reads exactly what :func:`ttubs.smt.encode` writes.  Commands:
 
 Anything else raises :class:`SolverInputError`; the process then prints
 ``error: ...`` to stderr and exits 2.  Every command is read before the
-first answer, so an unsupported command leaves nothing on stdout.  Every variable must be box-bounded by
-top-level unary assertions (offset and queue domains always are); the
-disjunctive structure is then compiled exactly to a mixed-integer program
-with per-disjunct indicator variables and solved with HiGHS.  ``unsat`` is
-exact: the indicator relaxation constants are derived from the asserted
-boxes.
+first answer, so an unsupported command leaves nothing on stdout.
+
+Every variable must be box-bounded by top-level unary assertions (offset
+and queue domains always are); the disjunctive structure is then compiled
+exactly to a mixed-integer program and solved with HiGHS.  An assertion
+with two live disjuncts (the box neither rules them out nor makes them
+hold outright) gets one binary ``b``: the first conjunction's rows
+hold when ``b = 1`` and the second's when ``b = 0``.  One whose two
+disjuncts are ``t >= k0`` and ``-t >= k1`` with ``k0 + k1 <= 1`` holds for
+every integer ``t`` and is dropped.  Three or more live disjuncts get one
+indicator each and a row that sets at least one.  ``unsat`` is exact: the
+big-M relaxation constants are derived from the asserted boxes, and every
+``sat`` model is re-checked against the assertions before it is printed.
 """
 
 from __future__ import annotations
@@ -140,6 +147,15 @@ def _to_disjuncts(node, variables: set[str]) -> list[list[GeAtom]]:
 # ---------------------------------------------------------------------------
 # MILP compilation
 
+def _complementary(first: list[GeAtom], second: list[GeAtom]) -> bool:
+    """``t >= k0`` and ``-t >= k1`` over the same term with ``k0 + k1 <= 1``:
+    every integer ``t`` satisfies one of them."""
+    if len(first) != 1 or len(second) != 1:
+        return False
+    a, b = first[0], second[0]
+    return a.coeffs == tuple((v, -c) for v, c in b.coeffs) and a.const + b.const <= 1
+
+
 def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[str, int] | None]:
     var_set = set(variables)
     problems = [_to_disjuncts(a, var_set) for a in assertions]
@@ -181,13 +197,25 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
     rows_idx: list[list[int]] = []
     rows_val: list[list[float]] = []
     rows_lb: list[float] = []
-    extra_lo: list[int] = []
-    extra_hi: list[int] = []
 
     def add_row(idx, val, lb):
         rows_idx.append(idx)
         rows_val.append(val)
         rows_lb.append(lb)
+
+    def new_binary() -> int:
+        nonlocal n_cols
+        n_cols += 1
+        return n_cols - 1
+
+    def add_relaxed(atom: GeAtom, b: int, when_set: bool) -> None:
+        """The atom's row, forced when binary ``b`` is 1 (``when_set``) or 0
+        and relaxed by the box-derived M otherwise:
+        ``sum - M*b >= k - M`` or ``sum + M*b >= k``."""
+        m = atom.const - lbox(atom)
+        idx = [col[v] for v, _ in atom.coeffs] + [b]
+        val = [float(c) for _, c in atom.coeffs] + [float(-m if when_set else m)]
+        add_row(idx, val, float(atom.const - m if when_set else atom.const))
 
     for disjuncts in problems:
         # drop disjuncts with an atom false over the whole box; a disjunct
@@ -210,19 +238,23 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
             for atom in live[0]:
                 add_row([col[v] for v, _ in atom.coeffs], [float(c) for _, c in atom.coeffs], float(atom.const))
             continue
-        # one indicator per disjunct; indicator set forces its atoms
+        if len(live) == 2:
+            if _complementary(*live):
+                continue
+            # one binary: b = 1 forces the first conjunction, b = 0 the second
+            b = new_binary()
+            for atom in live[0]:
+                add_relaxed(atom, b, True)
+            for atom in live[1]:
+                add_relaxed(atom, b, False)
+            continue
+        # one indicator per disjunct, at least one of them set
         ind_cols = []
         for conj in live:
-            b = n_cols
-            n_cols += 1
-            extra_lo.append(0)
-            extra_hi.append(1)
+            b = new_binary()
             ind_cols.append(b)
             for atom in conj:
-                m = atom.const - lbox(atom)
-                idx = [col[v] for v, _ in atom.coeffs] + [b]
-                val = [float(c) for _, c in atom.coeffs] + [float(-m)]
-                add_row(idx, val, float(atom.const - m))
+                add_relaxed(atom, b, True)
         add_row(ind_cols, [1.0] * len(ind_cols), 1.0)
 
     if n_cols == 0:
@@ -232,8 +264,8 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    lower = np.array([float(lo[v]) for v in variables] + [float(x) for x in extra_lo])
-    upper = np.array([float(hi[v]) for v in variables] + [float(x) for x in extra_hi])
+    lower = np.array([float(lo[v]) for v in variables] + [0.0] * (n_cols - n_real))
+    upper = np.array([float(hi[v]) for v in variables] + [1.0] * (n_cols - n_real))
     constraints = None
     if rows_idx:
         data, rcols, rrows = [], [], []
@@ -266,9 +298,9 @@ def solve_instance(variables: list[str], assertions: list) -> tuple[str, dict[st
         return "unsat", None
     values = checked_model(res)
     if values is None and res.status == 0:
-        # HiGHS accepts an indicator within its integrality tolerance of 0
-        # or 1; times a big-M the size of the box, that residue can break an
-        # atom once the offsets are rounded.  With the indicators fixed to
+        # HiGHS accepts a binary within its integrality tolerance of 0 or
+        # 1; times a big-M the size of the box, that residue can break an
+        # atom once the offsets are rounded.  With the binaries fixed to
         # their rounded values the rows are exact over the offsets alone.
         lower[n_real:] = upper[n_real:] = np.round(res.x[n_real:])
         values = checked_model(highs())

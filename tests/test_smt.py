@@ -1,5 +1,7 @@
 import hashlib
 import io
+import itertools
+import os
 import sys
 from dataclasses import replace
 
@@ -203,6 +205,194 @@ def test_bundled_solver_answers_only_after_reading_every_command(tmp_path, capfd
     out, err = capfd.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# the MILP compile: exactness against enumeration, and its shape
+
+def _holds(node, env) -> bool:
+    """An assertion in encode's grammar, evaluated directly on integers."""
+    head = node[0]
+    if head == "or":
+        return any(_holds(sub, env) for sub in node[1:])
+    if head == "and":
+        return all(_holds(sub, env) for sub in node[1:])
+    if head == "distinct":
+        return env[node[1]] != env[node[2]]
+    term, k = node[1], node[2]
+    t = env[term[1]] - env[term[2]] if isinstance(term, list) else env[term]
+    k = -int(k[1]) if isinstance(k, list) else int(k)
+    return t >= k if head == ">=" else t <= k
+
+
+def _sexpr(node) -> str:
+    return node if isinstance(node, str) else "(" + " ".join(_sexpr(n) for n in node) + ")"
+
+
+def _k(n: int):
+    return str(n) if n >= 0 else ["-", str(-n)]
+
+
+@st.composite
+def _box_instances(draw):
+    """Box-bounded instances in encode's grammar over 2-4 variables with
+    boxes inside 0..6: unary and difference atoms, conjunctions, distinct,
+    two- and three-way disjunctions, and complementary pairs ``t >= k0 or
+    -t >= k1`` with ``k0 + k1`` in {0, 1, 2}."""
+    names = [f"x{i}" for i in range(draw(st.integers(2, 4)))]
+    boxes = {}
+    for v in names:
+        lo = draw(st.integers(0, 6))
+        boxes[v] = (lo, draw(st.integers(lo, 6)))
+    var = st.sampled_from(names)
+    term = st.one_of(var, st.tuples(st.just("-"), var, var).map(list))
+    atom = st.tuples(st.sampled_from([">=", "<="]), term, st.integers(-7, 7).map(_k)).map(list)
+    conj = st.one_of(
+        atom,
+        st.lists(atom, min_size=2, max_size=3).map(lambda atoms: ["and", *atoms]),
+        st.tuples(st.just("distinct"), var, var).map(list),
+    )
+
+    def complementary(args):
+        t, k0, total, swap = args
+        pair = [[">=", t, _k(k0)], ["<=", t, _k(k0 - total)]]
+        return ["or", *(pair[::-1] if swap else pair)]
+
+    assertion = st.one_of(
+        conj,
+        st.lists(conj, min_size=2, max_size=3).map(lambda conjs: ["or", *conjs]),
+        st.tuples(term, st.integers(-7, 7), st.sampled_from([0, 1, 2]), st.booleans()).map(complementary),
+    )
+    return names, boxes, draw(st.lists(assertion, min_size=1, max_size=5))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_box_instances())
+def test_bundled_solver_matches_enumeration(instance):
+    names, boxes, assertions = instance
+    text = "".join(f"(declare-const {v} Int)(assert (and (>= {v} {lo}) (<= {v} {hi})))" for v, (lo, hi) in boxes.items())
+    text += "".join(f"(assert {_sexpr(a)})" for a in assertions) + "(check-sat)(get-model)"
+    points = (dict(zip(names, p)) for p in itertools.product(*(range(lo, hi + 1) for lo, hi in boxes.values())))
+    feasible = any(all(_holds(a, env) for a in assertions) for env in points)
+    out = _run_text(text)
+    assert out.split()[0] == ("sat" if feasible else "unsat"), text
+    if feasible:
+        found = parse_model(out, names)
+        assert all(lo <= found[v] <= hi for v, (lo, hi) in boxes.items())
+        assert all(_holds(a, found) for a in assertions), text
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Every ``scipy.optimize.milp`` call's keyword arguments, passed on to
+    the real solver."""
+    import scipy.optimize
+
+    calls, real = [], scipy.optimize.milp
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recording)
+    return calls
+
+
+def _binary_cols(kwargs) -> list[int]:
+    bounds = kwargs["bounds"]
+    return [i for i, (lo, hi) in enumerate(zip(bounds.lb, bounds.ub)) if lo == 0 and hi == 1]
+
+
+def _row_count(kwargs) -> int:
+    cons = kwargs["constraints"]
+    return 0 if cons is None else cons.A.shape[0]
+
+
+def test_bundled_solver_one_binary_per_nfic_link_assertion(milp_calls):
+    cs = build_constraint_set(gen_chain(ChainSpec(2, 8, rng_seed=2)), "nfic")
+    assert _run_text(encode(cs)).startswith("sat")
+    (kwargs,) = milp_calls
+    # each offset lies in 0..T-L; a link assertion is live when both of its
+    # orders are possible and neither holds over the whole box
+    top = {fi.var_name: fi.period_ns - fi.duration_ns for fi in cs.instances}
+
+    def undecided(atom):
+        (vi, _), (vj, _) = atom.terms
+        return -top[vj] < atom.const <= top[vi]
+
+    links = [gc for gc in cs.constraints if gc.category == "link"]
+    live = [gc for gc in links if all(undecided(a) for (a,) in gc.disjuncts)]
+    assert 0 < len(live) < len(links)
+    assert len(_binary_cols(kwargs)) == len(live)
+    # every row reaches an offset column: no indicator sum rows
+    n_offsets = len(cs.instances)
+    a_mat = kwargs["constraints"].A.tocsr()
+    assert all((a_mat.indices[a_mat.indptr[r]:a_mat.indptr[r + 1]] < n_offsets).any() for r in range(a_mat.shape[0]))
+
+
+@pytest.mark.parametrize(
+    "assertion, binaries",
+    [
+        ("(or (>= (- x y) 0) (>= (- y x) 0))", 0),
+        ("(or (>= (- x y) 1) (>= (- y x) 0))", 0),
+        ("(or (>= (- x y) 1) (>= (- y x) 1))", 1),
+        ("(distinct x y)", 1),
+    ],
+)
+def test_bundled_solver_drops_complementary_pairs(milp_calls, assertion, binaries):
+    box = "(declare-const x Int)(declare-const y Int)(assert (and (>= x 0) (<= x 9)))(assert (and (>= y 0) (<= y 9)))"
+    assert _run_text(box + "(check-sat)").strip() == "sat"
+    assert _run_text(box + f"(assert {assertion})(check-sat)").strip() == "sat"
+    bare, added = milp_calls
+    assert len(added["c"]) == len(bare["c"]) + binaries
+    assert _row_count(added) == _row_count(bare) + 2 * binaries
+
+
+def test_bundled_solver_fixes_binaries_when_rounding_breaks_an_atom(monkeypatch):
+    import numpy as np
+    import scipy.optimize
+
+    calls, real = [], scipy.optimize.milp
+
+    def residue_first(**kwargs):
+        calls.append(kwargs["bounds"])
+        res = real(**kwargs)
+        if len(calls) == 1:
+            # within HiGHS' integrality tolerance: b = 1 - 2e-7 times
+            # M = 20,000,005 lets x - y = 1 meet the row of x - y >= 5
+            res.x = np.array([10_000_001.0, 10_000_000.0, 1 - 2e-7])
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", residue_first)
+    out = _run_text(
+        "(declare-const x Int)(declare-const y Int)"
+        "(assert (and (>= x 0) (<= x 20000000)))(assert (and (>= y 0) (<= y 20000000)))"
+        "(assert (or (>= (- x y) 5) (>= (- y x) 5)))"
+        "(check-sat)(get-model)"
+    )
+    assert len(calls) == 2
+    assert calls[1].lb[2] == calls[1].ub[2] == 1
+    assert out.startswith("sat")
+    found = parse_model(out, ["x", "y"])
+    assert found["x"] - found["y"] >= 5
+
+
+def test_bundled_solver_keeps_highs_output_off_stdout(monkeypatch, tmp_path, capfd):
+    import scipy.optimize
+
+    real = scipy.optimize.milp
+
+    def noisy(**kwargs):
+        os.write(1, b"noise\n")
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", noisy)
+    path = tmp_path / "in.smt2"
+    path.write_text("(declare-const x Int)(assert (and (>= x 3) (<= x 3)))(check-sat)(get-model)")
+    assert smtlib_solver.main([str(path)]) == 0
+    out, err = capfd.readouterr()
+    assert out == "sat\n(\n  (define-fun x () Int 3)\n)\n"
+    assert "noise" in err
 
 
 def _tokens_spec(text: str) -> list[str]:
