@@ -140,16 +140,21 @@ class GateControlList:
             out.append(tuple(map(tuple, wins)))
         return tuple(out)
 
+    @cached_property
+    def open_all_cycle(self) -> tuple[bool, ...]:
+        """Per queue, whether its gate never closes."""
+        return tuple(wins == ((0, self.cycle_time_ns),) for wins in self.windows)
+
     def next_fit_start(self, queue: int, t: int, duration: int) -> int | None:
         """Earliest absolute time >= t at which a frame of ``duration`` can
         start so that it completes before the queue's gate closes.  None if
         no window of the queue is that long (then none ever will be)."""
+        if self.open_all_cycle[queue]:
+            return t
         wins = self.windows[queue]
-        cycle = self.cycle_time_ns
         if not wins:
             return None
-        if wins == ((0, cycle),):
-            return t
+        cycle = self.cycle_time_ns
         pos = t % cycle
         base = t - pos
         n = len(wins)

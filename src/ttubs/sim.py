@@ -16,10 +16,13 @@ Switch egress runs in one of two modes, set per switch:
   held frame).  Shared-queue gates for time-triggered traffic stay open.
 
 End-station egress is one ungated, unshaped queue.  Each stream's route is
-resolved once into a plan of one (egress port, shared queue, shaped queue
-or none) per hop, which every send, arrival and release reads.  The shared
-queue of a switch egress hop is the deployment's; talkers send at the
-offsets of their stream's talker row in the shaper table.
+resolved once into one (egress port, shared queue, shaped queue or none,
+fault meters at the far end) per hop.  A frame carries its plan, those hops
+with its payload's wire time on each, which every send, arrival and
+release reads; a fixed-size stream's plan is built once, a variable-size
+stream's once per frame.  The shared queue of a switch egress hop is the
+deployment's; talkers send at the offsets of their stream's talker row in
+the shaper table.
 
 Propagation and, at a switch, its processing delay pass between a frame's
 last bit leaving the sender and its arrival event (``arrival_lag_ns``), so
@@ -31,15 +34,19 @@ frames of its own chain (released in order with it), other chains are
 unaffected.
 
 Everything is integer nanoseconds and rng-seeded; identical configs give
-byte-identical traces.  Event ordering at equal times: shaper releases,
-then link arrivals, then meter releases, then transmission retries.
+byte-identical traces.  Payloads are drawn uniformly per frame; a stream
+whose range is one value draws nothing from the generator.  Writing a
+trace changes no event and no metric.  Event ordering at equal times:
+shaper releases, then link arrivals, then meter releases, then
+transmission retries, then talker sends.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -168,15 +175,16 @@ class MeterState:
 
 
 class _Frame:
-    __slots__ = ("stream_idx", "slot", "payload", "send_time", "hop", "dur")
+    __slots__ = ("stream_idx", "slot", "payload", "send_time", "plan", "hop", "dur")
 
-    def __init__(self, stream_idx, slot, payload, send_time):
+    def __init__(self, stream_idx, slot, payload, send_time, plan):
         self.stream_idx = stream_idx
         self.slot = slot
         self.payload = payload
         self.send_time = send_time
+        self.plan = plan  # the stream's hops with this payload's wire times
         self.hop = 0
-        self.dur = 0
+        self.dur = 0  # wire time on the current hop
 
 
 class _ShapedQueue:
@@ -204,6 +212,12 @@ class _Port:
         self.next_wake: int | None = None
 
 
+def _with_wire_times(hops, payload: int) -> tuple:
+    return tuple(
+        (port, queue, shaped, bytes_to_duration(payload, port.rate), meters) for port, queue, shaped, meters in hops
+    )
+
+
 class _Engine:
     def __init__(self, config: SimConfig, trace_path: str | None):
         self.config = config
@@ -215,10 +229,10 @@ class _Engine:
             raise InvalidInputError("simulation shorter than one hyper-period")
 
         self.heap: list = []
-        self.seq = 0
+        self.seq = count(1)
         self.rng = np.random.default_rng(config.rng_seed)
 
-        self.metrics = {s.id: StreamMetrics() for s in self.streams}
+        self.metrics = [StreamMetrics() for _ in self.streams]  # by stream index
         self.shaper_discards = 0
         self.in_flight = 0
 
@@ -231,11 +245,21 @@ class _Engine:
                     raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
             ports[ln.key] = _Port(ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
 
-        # per stream, one (egress port, shared queue, shaped queue or None)
-        # per route hop; end-station egress is queue 0, unshaped and ungated
-        self.plans: list[tuple[tuple[_Port, int, _ShapedQueue | None], ...]] = []
+        # fault meters keyed by (switch, ingress)
+        meters: dict[tuple[str, LinkKey], list] = {}
+        for cfg in config.faults:
+            meters.setdefault((cfg.switch, cfg.ingress), []).append([MeterState(cfg), []])
+
+        # per stream, one (egress port, shared queue, shaped queue or None,
+        # meters at the link's far end) per route hop; end-station egress
+        # is queue 0, unshaped and ungated
+        self.hops: list[tuple[tuple[_Port, int, _ShapedQueue | None, tuple], ...]] = []
+        # per stream of one payload size, its hops with that size's wire
+        # time added: (port, queue, shaped, wire time, meters); None for a
+        # stream of variable size, whose frames each get their own
+        self.plans: list[tuple | None] = []
         for s in self.streams:
-            plan = []
+            hops = []
             for key in s.route:
                 port = ports[key]
                 queue, shaped = 0, None
@@ -246,14 +270,9 @@ class _Engine:
                         shaped = _ShapedQueue(row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
                 if queue not in port.used:
                     port.used = tuple(sorted((*port.used, queue), reverse=True))
-                plan.append((port, queue, shaped))
-            self.plans.append(tuple(plan))
-
-        # meters keyed by (switch, ingress)
-        self.meters: dict[tuple[str, LinkKey], list] = {}
-        for cfg in config.faults:
-            state = MeterState(cfg)
-            self.meters.setdefault((cfg.switch, cfg.ingress), []).append([state, []])
+                hops.append((port, queue, shaped, tuple(meters.get((key[1], key), ()))))
+            self.hops.append(tuple(hops))
+            self.plans.append(_with_wire_times(hops, s.payload_min) if s.payload_min == s.payload_max else None)
 
         # talker sends, from each stream's talker row
         for i, s in enumerate(self.streams):
@@ -268,33 +287,27 @@ class _Engine:
 
     # ------------------------------------------------------------------
     def push(self, t, phase, data):
-        self.seq += 1
-        heapq.heappush(self.heap, (t, phase, self.seq, data))
+        heappush(self.heap, (t, phase, next(self.seq), data))
 
     def emit(self, t, node, event, stream_idx, slot, disposition=""):
-        if self.trace:
-            sid = self.streams[stream_idx].id if stream_idx is not None else ""
-            self.trace.write(f"{t},{node},{event},{sid},{slot},{disposition}\n")
+        self.trace.write(f"{t},{node},{event},{self.streams[stream_idx].id},{slot},{disposition}\n")
 
     def drop(self, t, node, frame: _Frame, cause: str, event: str):
-        self.metrics[self.streams[frame.stream_idx].id].drops[cause] += 1
+        self.metrics[frame.stream_idx].drops[cause] += 1
         if cause in ("timeout_discarded", "displaced"):
             self.shaper_discards += 1
         self.in_flight -= 1
-        self.emit(t, node, event, frame.stream_idx, frame.slot, cause)
+        if self.trace:
+            self.emit(t, node, event, frame.stream_idx, frame.slot, cause)
 
     # ------------------------------------------------------------------
     def run(self):
-        handlers = {
-            PH_SEND: self.on_send,
-            PH_ARRIVAL: self.on_arrival,
-            PH_METER: self.on_meter_release,
-            PH_SHAPER: self.on_shaper_release,
-            PH_SERVICE: self.on_service,
-        }
+        # indexed by phase; a local, so the engine holds no bound method of
+        # itself and is freed as soon as it is dropped
+        handlers = (self.on_shaper_release, self.on_arrival, self.on_meter_release, self.on_service, self.on_send)
         heap = self.heap
         while heap:
-            t, phase, _, data = heapq.heappop(heap)
+            t, phase, _, data = heappop(heap)
             handlers[phase](t, data)
         if self.trace:
             self.trace.close()
@@ -303,40 +316,47 @@ class _Engine:
     def on_send(self, t, data):
         i, slot = data
         s = self.streams[i]
-        payload = int(self.rng.integers(s.payload_min, s.payload_max + 1))
-        frame = _Frame(i, slot, payload, t)
-        self.metrics[s.id].sent += 1
+        plan = self.plans[i]
+        if plan is None:
+            payload = int(self.rng.integers(s.payload_min, s.payload_max + 1))
+            plan = _with_wire_times(self.hops[i], payload)
+        else:
+            payload = s.payload_min  # draws nothing from the generator
+        self.metrics[i].sent += 1
         self.in_flight += 1
-        self.emit(t, s.talker, "send", i, slot)
+        if self.trace:
+            self.emit(t, s.talker, "send", i, slot)
         nxt = t + self.cycle
         if nxt < self.config.sim_duration_ns:
-            self.push(nxt, PH_SEND, (i, slot))
-        self.to_egress(t, frame)
+            self.push(nxt, PH_SEND, data)
+        self.to_egress(t, _Frame(i, slot, payload, t, plan))
 
-    def on_arrival(self, t, data):
-        frame, link = data
-        s = self.streams[frame.stream_idx]
-        node = link[1]
+    def on_arrival(self, t, frame: _Frame):
+        port, _, _, _, meters = frame.plan[frame.hop]
+        node = port.link[1]
         frame.hop += 1
-        if frame.hop == len(s.route):
+        if frame.hop == len(frame.plan):
             self.deliver(t, node, frame)
             return
-        self.emit(t, node, "arrive", frame.stream_idx, frame.slot)
-        for entry in self.meters.get((node, link), ()):
+        if self.trace:
+            self.emit(t, node, "arrive", frame.stream_idx, frame.slot)
+        for entry in meters:
             state, pending = entry
-            action = state.decide(s.id, t)
+            action = state.decide(self.streams[frame.stream_idx].id, t)
             if action == "drop":
                 self.drop(t, node, frame, "attack_dropped", "meter_drop")
                 return
             if action == "delay":
                 state.holding = True
                 pending.append(frame)
-                self.emit(t, node, "meter_capture", frame.stream_idx, frame.slot)
+                if self.trace:
+                    self.emit(t, node, "meter_capture", frame.stream_idx, frame.slot)
                 self.push(t + state.config.delay_time_ns, PH_METER, entry)
                 return
             if action == "queue":
                 pending.append(frame)
-                self.emit(t, node, "meter_queue", frame.stream_idx, frame.slot)
+                if self.trace:
+                    self.emit(t, node, "meter_queue", frame.stream_idx, frame.slot)
                 return
         self.to_egress(t, frame)
 
@@ -345,15 +365,18 @@ class _Engine:
         state.holding = False
         frames, pending[:] = list(pending), []
         for frame in frames:
-            self.emit(t, state.config.switch, "meter_release", frame.stream_idx, frame.slot)
+            if self.trace:
+                self.emit(t, state.config.switch, "meter_release", frame.stream_idx, frame.slot)
             self.to_egress(t, frame)
 
     def to_egress(self, t, frame: _Frame):
         """Hand ``frame`` to its current hop: straight into the shared
         queue, or through the hop's shaped queue."""
-        port, queue, sq = self.plans[frame.stream_idx][frame.hop]
+        port, queue, sq, dur, _ = frame.plan[frame.hop]
+        frame.dur = dur
         if sq is None:
-            self.enqueue(t, port, queue, frame)
+            port.queues[queue].append(frame)
+            self.service(t, port)
             return
         node = port.link[0]
         if sq.held is not None:
@@ -366,11 +389,14 @@ class _Engine:
             self.drop(t, node, frame, "timeout_discarded", "shaper_timeout")
             return
         if release == t:
-            self.emit(t, node, "shaper_release", frame.stream_idx, frame.slot)
-            self.enqueue(t, port, queue, frame)
+            if self.trace:
+                self.emit(t, node, "shaper_release", frame.stream_idx, frame.slot)
+            port.queues[queue].append(frame)
+            self.service(t, port)
             return
         sq.held = frame
-        self.emit(t, node, "shaper_hold", frame.stream_idx, frame.slot)
+        if self.trace:
+            self.emit(t, node, "shaper_hold", frame.stream_idx, frame.slot)
         self.push(release, PH_SHAPER, (sq, sq.epoch))
 
     def on_shaper_release(self, t, data):
@@ -380,16 +406,13 @@ class _Engine:
         frame = sq.held
         sq.held = None
         sq.epoch += 1
-        port, queue, _ = self.plans[frame.stream_idx][frame.hop]
-        self.emit(t, port.link[0], "shaper_release", frame.stream_idx, frame.slot)
-        self.enqueue(t, port, queue, frame)
-
-    # ------------------------------------------------------------------
-    def enqueue(self, t, port: _Port, queue: int, frame: _Frame):
-        frame.dur = bytes_to_duration(frame.payload, port.rate)
+        port, queue, _, _, _ = frame.plan[frame.hop]
+        if self.trace:
+            self.emit(t, port.link[0], "shaper_release", frame.stream_idx, frame.slot)
         port.queues[queue].append(frame)
         self.service(t, port)
 
+    # ------------------------------------------------------------------
     def wake(self, port: _Port, t: int):
         if port.next_wake is None or t < port.next_wake:
             port.next_wake = t
@@ -414,8 +437,9 @@ class _Engine:
                 if start == t:
                     dq.popleft()
                     port.busy_until = t + head.dur
-                    self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
-                    self.push(t + head.dur + port.lag, PH_ARRIVAL, (head, port.link))
+                    if self.trace:
+                        self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
+                    self.push(port.busy_until + port.lag, PH_ARRIVAL, head)
                     self.wake(port, port.busy_until)
                     return
                 if start is None:
@@ -430,13 +454,12 @@ class _Engine:
 
     # ------------------------------------------------------------------
     def deliver(self, t, node, frame: _Frame):
-        s = self.streams[frame.stream_idx]
-        e2e = t - frame.send_time
-        m = self.metrics[s.id]
+        m = self.metrics[frame.stream_idx]
         m.delivered += 1
-        m.frames.append((frame.slot, frame.payload, e2e))
+        m.frames.append((frame.slot, frame.payload, t - frame.send_time))
         self.in_flight -= 1
-        self.emit(t, node, "deliver", frame.stream_idx, frame.slot, "delivered")
+        if self.trace:
+            self.emit(t, node, "deliver", frame.stream_idx, frame.slot, "delivered")
 
 
 def collect_metrics(scenario: Scenario, metrics: dict[str, StreamMetrics]) -> dict[str, StreamMetrics]:
@@ -467,5 +490,5 @@ def run(config: SimConfig, trace_path: str | None = None) -> SimReport:
     engine.run()
     if engine.in_flight != 0:
         raise AssertionError(f"{engine.in_flight} frames unaccounted at drain")
-    metrics = collect_metrics(config.scenario, engine.metrics)
+    metrics = collect_metrics(config.scenario, {s.id: m for s, m in zip(engine.streams, engine.metrics)})
     return SimReport(metrics=metrics, shaper_discards=engine.shaper_discards, trace_path=trace_path)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from dataclasses import replace
@@ -10,6 +13,7 @@ from ttubs.sim import (
     AttackConfig,
     MeterState,
     SimConfig,
+    _Engine,
     eligibility_decision,
     run,
 )
@@ -274,3 +278,18 @@ def test_trace_columns(adas, dep3, tmp_path):
     assert lines[0] == "time_ns,node,event,stream,slot,disposition"
     assert any(",deliver," in ln for ln in lines)
     assert any(",shaper_hold," in ln for ln in lines)
+
+
+@pytest.mark.parametrize("egress", ["tas", "ttubs"])
+def test_finished_engine_freed_without_collector(adas, dep3, egress):
+    """No reference cycle runs through the engine: dropping the last
+    reference frees it at once, not at the next collection."""
+    gc.disable()
+    try:
+        engine = _Engine(SimConfig(adas, dep3, egress, (table5_delay(221_000),), 1, SHORT), None)
+        engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -6,11 +6,13 @@ traces the simulator gave before.
 Fixture replays run 200 ms, the lstb-scheduled chain 100 ms (5 cycles)."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from ttubs.artifacts import build_deployment
-from ttubs.harness import ChainSpec, fault_preset, gen_chain, replay_fixture
+from ttubs.fixtures import adas_scenario, fixture_schedule
+from ttubs.harness import ChainSpec, fault_preset, gen_chain, replay, replay_fixture
 from ttubs.lstb import LstbLimits, lstb_solve
 from ttubs.sim import SimConfig, run
 
@@ -43,6 +45,16 @@ MIXED_DIGESTS = {
     ("table3", "ttubs", "tas"): "5301dc25980e9f5ec664b92a8f03fc6b6f687edd1e2f8ffd4b3d45ba7498f0de",
     ("table6", "tas", "ttubs"): "43793d1d7beb2d676d6dc85119b9cf54d7218a59c8053b70f97290eba1e086bb",
     ("table6", "ttubs", "tas"): "462f63b2be0fad0d13293367361d5ec7144a97e6ab96cbbd2b4c4ffcff2c5f26",
+}
+
+# the ADAS fixture with cam1 and control at one size (their largest) beside
+# the variable-size cam2 and radar on both switches, cam2 delayed at SW1
+# ("timeout-long"): a fixed-size stream that drew from the generator would
+# move every later draw of the others
+MIXED_PAYLOAD_FIXED = ("cam1", "control")
+MIXED_PAYLOAD_DIGESTS = {
+    "tas": "46fdcc139732d87aafd4cc8c83c317814f5103e0fb88d7175faca48c26e539bf",
+    "ttubs": "52b88b0bd1ce53057d78b2fd56bfaa6dc2f218bb4f4debf0539ac368bffc0ce7",
 }
 
 CHAIN_DIGESTS = {
@@ -83,3 +95,51 @@ def test_chain_trace_digest_pinned(chain_deployment, egress, tmp_path):
     path = tmp_path / "trace.csv"
     run(SimConfig(sc, dep, egress, (), 1, 100_000_000), trace_path=str(path))
     assert _digest(path) == CHAIN_DIGESTS[egress]
+
+
+def _mixed_payload_replay(egress, trace_path=None):
+    sc = adas_scenario()
+    streams = tuple(replace(s, payload_min=s.payload_max) if s.id in MIXED_PAYLOAD_FIXED else s for s in sc.streams)
+    sc = replace(sc, streams=streams)
+    sched, _ = fixture_schedule("table3", sc)
+    rep = replay(sc, sched, "nfic", egress, fault_preset("timeout-long"), 1, 200_000_000, trace_path)
+    assert rep.validation_ok
+    return rep
+
+
+@pytest.mark.parametrize("egress", sorted(MIXED_PAYLOAD_DIGESTS))
+def test_mixed_payload_trace_digest_pinned(egress, tmp_path):
+    path = tmp_path / "trace.csv"
+    _mixed_payload_replay(egress, str(path))
+    assert _digest(path) == MIXED_PAYLOAD_DIGESTS[egress]
+
+
+PARITY_CASES = (
+    [("replay", key) for key in sorted(REPLAY_DIGESTS)]
+    + [("mixed", key) for key in sorted(MIXED_DIGESTS)]
+    + [("mixed-payload", key) for key in sorted(MIXED_PAYLOAD_DIGESTS)]
+    + [("chain", key) for key in sorted(CHAIN_DIGESTS)]
+)
+
+
+def _case_metrics(kind, key, request, trace_path):
+    if kind == "replay":
+        name, egress, fault = key
+        return replay_fixture(name, egress, fault_preset(fault), 1, 200_000_000, trace_path=trace_path).metrics
+    if kind == "mixed":
+        name, sw1, sw2 = key
+        return replay_fixture(name, {"SW1": sw1, "SW2": sw2}, (), 1, 200_000_000, trace_path=trace_path).metrics
+    if kind == "mixed-payload":
+        return _mixed_payload_replay(key, trace_path).metrics
+    sc, dep = request.getfixturevalue("chain_deployment")
+    return run(SimConfig(sc, dep, key, (), 1, 100_000_000), trace_path=trace_path).metrics
+
+
+@pytest.mark.parametrize(
+    "kind,key", PARITY_CASES, ids=[f"{k}-{'-'.join(key) if isinstance(key, tuple) else key}" for k, key in PARITY_CASES]
+)
+def test_untraced_run_matches_traced(kind, key, request, tmp_path):
+    """The pinned digests cover only traced runs; an untraced run must give
+    the same metrics, frame by frame."""
+    traced = _case_metrics(kind, key, request, str(tmp_path / "trace.csv"))
+    assert _case_metrics(kind, key, request, None) == traced
