@@ -39,6 +39,17 @@ whose range is one value draws nothing from the generator.  Writing a
 trace changes no event and no metric.  Event ordering at equal times:
 shaper releases, then link arrivals, then meter releases, then
 transmission retries, then talker sends.
+
+A port's wakes are its transmission retries.  A frame that starts on a
+gated port wakes the port when its last bit leaves (``busy_until``), so
+equal-time gate retries keep their order.  On an ungated port with nothing
+queued that wake would find the port idle and empty, so it is not pushed:
+the port keeps the wake's sequence number, and a frame that comes while
+the port is busy pushes the wake with it.  Events then run in the order
+of a wake at every start, but for one case: after a start at the instant
+the port fell idle, the number is drawn at that start rather than by the
+idle wake, so the wake can run ahead of another port's equal-time wake
+drawn in between.
 """
 
 from __future__ import annotations
@@ -199,7 +210,7 @@ class _ShapedQueue:
 
 
 class _Port:
-    __slots__ = ("link", "rate", "lag", "busy_until", "queues", "used", "gcl", "next_wake")
+    __slots__ = ("link", "rate", "lag", "busy_until", "queues", "used", "gcl", "next_wake", "wake_seq")
 
     def __init__(self, link, rate, lag, gcl):
         self.link = link
@@ -210,6 +221,7 @@ class _Port:
         self.used: tuple[int, ...] = ()  # queues the port's streams use, highest first
         self.gcl = gcl  # set only where a ``tas`` switch gates the port
         self.next_wake: int | None = None
+        self.wake_seq: int | None = None  # kept for a busy_until wake not pushed
 
 
 def _with_wire_times(hops, payload: int) -> tuple:
@@ -425,7 +437,14 @@ class _Engine:
 
     def service(self, t, port: _Port):
         if port.busy_until > t:
-            self.wake(port, port.busy_until)
+            if port.wake_seq is None:
+                self.wake(port, port.busy_until)
+            else:
+                # a frame came while busy: push the wake tx_start kept back,
+                # in the place it kept
+                port.next_wake = port.busy_until
+                heappush(self.heap, (port.busy_until, PH_SERVICE, port.wake_seq, port))
+                port.wake_seq = None
             return
         gcl = port.gcl
         best_retry: int | None = None
@@ -440,7 +459,18 @@ class _Engine:
                     if self.trace:
                         self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
                     self.push(port.busy_until + port.lag, PH_ARRIVAL, head)
-                    self.wake(port, port.busy_until)
+                    if gcl is None and not dq and port.next_wake is None and (
+                        q == port.used[-1] or not any(port.queues[r] for r in port.used)
+                    ):
+                        # an ungated port with nothing queued (its queues
+                        # above q were empty, or q would not be served) and
+                        # no wake pending needs its busy_until wake only if
+                        # a frame comes while it is busy: keep the wake's
+                        # sequence number, push nothing
+                        port.wake_seq = next(self.seq)
+                    else:
+                        port.wake_seq = None
+                        self.wake(port, port.busy_until)
                     return
                 if start is None:
                     dq.popleft()

@@ -2,14 +2,18 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dataclasses import replace
 
 from ttubs.artifacts import GateControlList, GclInterval, ShaperOffsetTable, build_deployment, e2e_per_slot
-from ttubs.harness import table5_delay, table5_drop
+from ttubs.fixtures import VALIDATION_MODES, adas_scenario, fixture_schedule
+from ttubs.harness import ChainSpec, gen_chain, replay, replay_fixture, table5_delay, table5_drop
+from ttubs.lstb import LstbLimits, lstb_solve
 from ttubs.model import InvalidInputError, Link, Scenario, Stream
 from ttubs.schedule import Schedule
 from ttubs.sim import (
+    PH_ARRIVAL,
     AttackConfig,
     MeterState,
     SimConfig,
@@ -293,3 +297,161 @@ def test_finished_engine_freed_without_collector(adas, dep3, egress):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# service wakes
+
+class _WakeAtEveryTxStart(_Engine):
+    """Oracle: ``service`` with a wake at ``busy_until`` after every
+    ``tx_start``, on every port, whether or not a frame is queued."""
+
+    def service(self, t, port):
+        if port.busy_until > t:
+            self.wake(port, port.busy_until)
+            return
+        gcl = port.gcl
+        best_retry: int | None = None
+        for q in port.used:
+            dq = port.queues[q]
+            while dq:
+                head = dq[0]
+                start = t if gcl is None else gcl.next_fit_start(q, t, head.dur)
+                if start == t:
+                    dq.popleft()
+                    port.busy_until = t + head.dur
+                    if self.trace:
+                        self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
+                    self.push(port.busy_until + port.lag, PH_ARRIVAL, head)
+                    self.wake(port, port.busy_until)
+                    return
+                if start is None:
+                    dq.popleft()
+                    self.drop(t, port.link[0], head, "stranded", "stranded")
+                    continue
+                if best_retry is None or start < best_retry:
+                    best_retry = start
+                break
+        if best_retry is not None:
+            self.wake(port, best_retry)
+
+
+def _oracle_trace(config: SimConfig, path) -> bytes:
+    _WakeAtEveryTxStart(config, str(path)).run()
+    return path.read_bytes()
+
+
+def _trace(config: SimConfig, path) -> bytes:
+    run(config, trace_path=str(path))
+    return path.read_bytes()
+
+
+@st.composite
+def _replay_configs(draw):
+    """A small deployed scenario with its egress, faults and seed: an lstb
+    schedule of a generated chain, or a bundled ADAS schedule."""
+    if draw(st.sampled_from(("chain", "chain", "adas"))) == "chain":
+        sc = gen_chain(ChainSpec(draw(st.integers(2, 4)), draw(st.integers(2, 20)), rng_seed=draw(st.integers(0, 10**6))))
+        res = lstb_solve(sc, draw(st.sampled_from(("nfic", "fic"))), LstbLimits(max_backjumps=2_000))
+        assume(res.status == "sat")
+        sched = res.schedule
+    else:
+        sc = adas_scenario()
+        sched, _ = fixture_schedule(draw(st.sampled_from(sorted(VALIDATION_MODES))), sc)
+    switches = sorted(n for n, kind in sc.nodes if kind == "switch")
+    egress = draw(
+        st.sampled_from(("tas", "ttubs"))
+        | st.fixed_dictionaries({sw: st.sampled_from(("tas", "ttubs")) for sw in switches})
+    )
+    faults = []
+    longest = max(s.period_ns for s in sc.streams)
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(st.sampled_from(sc.streams))
+        ingress = draw(st.sampled_from([key for key in s.route if key[1] in switches]))
+        kind = draw(st.sampled_from(("drop", "delay")))
+        faults.append(AttackConfig(
+            ingress[1], ingress, kind,
+            draw(st.integers(0, sc.hyper_period_ns)),
+            draw(st.integers(1, 5)),
+            draw(st.integers(0, longest)) if kind == "delay" else 0,
+            match_stream=draw(st.sampled_from((s.id, None))),
+        ))
+    return SimConfig(
+        sc, build_deployment(sc, sched), egress, tuple(faults), draw(st.integers(1, 9)), 2 * sc.hyper_period_ns
+    )
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wake")
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_replay_configs())
+def test_wake_rule_matches_always_wake_oracle(trace_dir, config):
+    """On deployed schedules, with or without faults, skipping an idle
+    ungated port's wake moves no event: the trace is byte-identical to the
+    oracle's."""
+    assert _trace(config, trace_dir / "run.csv") == _oracle_trace(config, trace_dir / "oracle.csv")
+
+
+def test_frame_behind_busy_ungated_port_keeps_wake_order(tmp_path):
+    # two talkers each start a frame at 0 and queue a second one while the
+    # first is on the wire (d at 100 ns, b at 200 ns): their wakes at 976 ns
+    # must run in the order of the first frames' starts (T1 before T2), not
+    # in the order the second frames came, or b and d swap at S
+    route = {"T1": (("T1", "S"), ("S", "L")), "T2": (("T2", "S"), ("S", "L"))}
+    talker = {"a": "T1", "b": "T1", "c": "T2", "d": "T2"}
+    sc = Scenario(
+        (("T1", "end-station"), ("T2", "end-station"), ("S", "switch"), ("L", "end-station")),
+        (Link("T1", "S", 10**9), Link("T2", "S", 10**9), Link("S", "L", 10**9)),
+        tuple(Stream(n, 100_000, 100, 100, route[t], 100_000, 100_000) for n, t in talker.items()),
+    )
+    offsets = {"a": (0, 5_000), "b": (200, 9_000), "c": (0, 7_000), "d": (100, 11_000)}
+    sched = Schedule(offsets={
+        (n, key, 0): off for n, offs in offsets.items() for key, off in zip(route[talker[n]], offs)
+    })
+    dep = build_deployment(sc, sched)
+    for egress in ("tas", "ttubs"):
+        config = SimConfig(sc, dep, egress, (), 1, 100_000)
+        trace = _trace(config, tmp_path / f"{egress}.csv")
+        assert trace == _oracle_trace(config, tmp_path / f"{egress}-oracle.csv")
+        starts = [ln.split(",")[3] for ln in trace.decode().splitlines() if ",tx_start," in ln]
+        assert starts[2:4] == ["b", "d"]
+    rep = run(SimConfig(sc, dep, "tas", (), 1, 100_000))
+    assert [rep.metrics[n].e2e_max_ns for n in "bd"] == [9_776, 11_876]
+
+
+def _wake_counting(monkeypatch):
+    ports = []
+    on_service = _Engine.on_service
+
+    def counted(self, t, port):
+        ports.append(port)
+        on_service(self, t, port)
+
+    monkeypatch.setattr(_Engine, "on_service", counted)
+    return ports
+
+
+@pytest.mark.parametrize("case", ["chain-3x10", "chain-5x30", "table3", "table6", "table8"])
+def test_no_wake_for_ungated_ports_without_faults(monkeypatch, case):
+    """On a validated deployment with no fault, no frame reaches an ungated
+    port while it is busy, so no wake ever runs there: none under ``ttubs``,
+    and under ``tas`` only on gated switch ports."""
+    ports = _wake_counting(monkeypatch)
+    for egress in ("ttubs", "tas"):
+        ports.clear()
+        if case.startswith("chain"):
+            switches, streams = map(int, case.split("-")[1].split("x"))
+            sc = gen_chain(ChainSpec(switches, streams, rng_seed=1))
+            res = lstb_solve(sc, "nfic", LstbLimits())
+            assert res.status == "sat"
+            rep = replay(sc, res.schedule, "nfic", egress, (), 1, 100_000_000)
+        else:
+            rep = replay_fixture(case, egress, (), 1, 100_000_000)
+        assert rep.validation_ok
+        if egress == "ttubs":
+            assert ports == []
+        else:
+            assert ports and all(p.gcl is not None for p in ports)

@@ -97,6 +97,25 @@ def test_chain_trace_digest_pinned(chain_deployment, egress, tmp_path):
     assert _digest(path) == CHAIN_DIGESTS[egress]
 
 
+# ChainSpec(3, 17, rng_seed=2), lstb nfic, tas, seed 1, 100 ms: s16 at SW3
+# and s15 at SW1 start at 24,352 ns from equal-time wakes of gated ports and
+# reach one shared queue at SW2 together.  If a gated port skipped its idle
+# busy_until wake, those wakes would run in another order and the two
+# streams' latencies would swap.
+GATED_RETRY_DIGEST = "461b84f42ab2bf0a876b490ba7d0439728c6362bcb0a727495c809fb69da6cf6"
+GATED_RETRY_E2E_MAX = {"s15": 65_856, "s16": 53_680}
+
+
+def test_gated_retry_order_digest_pinned(tmp_path):
+    sc = gen_chain(ChainSpec(3, 17, rng_seed=2))
+    res = lstb_solve(sc, "nfic", LstbLimits())
+    assert res.status == "sat"
+    path = tmp_path / "trace.csv"
+    rep = run(SimConfig(sc, build_deployment(sc, res.schedule), "tas", (), 1, 100_000_000), trace_path=str(path))
+    assert _digest(path) == GATED_RETRY_DIGEST
+    assert {s: rep.metrics[s].e2e_max_ns for s in GATED_RETRY_E2E_MAX} == GATED_RETRY_E2E_MAX
+
+
 def _mixed_payload_replay(egress, trace_path=None):
     sc = adas_scenario()
     streams = tuple(replace(s, payload_min=s.payload_max) if s.id in MIXED_PAYLOAD_FIXED else s for s in sc.streams)
