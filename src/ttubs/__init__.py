@@ -7,28 +7,4 @@ offset tables and per-port gate control lists), and replays them through
 deterministic egress pipelines under normal and anomalous traffic.
 """
 
-from .model import (
-    ETHERNET_OVERHEAD_BYTES,
-    FrameInstance,
-    InvalidInputError,
-    Link,
-    Scenario,
-    Stream,
-    bytes_to_duration,
-    expand_frame_instances,
-    hyper_period,
-    load_scenario,
-    save_scenario,
-    validate_scenario,
-)
-from .schedule import NFIC_QUEUE, Schedule, load_schedule, save_schedule
-from .constraints import (
-    ConstraintCensus,
-    ConstraintSet,
-    GroundConstraint,
-    build_constraint_set,
-    census,
-    validate_schedule,
-)
-
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import fixtures
 from .constraints import census
 from .harness import (
+    FAULT_PRESETS,
     ChainSpec,
     ExperimentPlan,
     fault_preset,
@@ -106,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     r = sub.add_parser("replay", help="replay a bundled fixture schedule")
     r.add_argument("fixture", choices=list(fixtures.FIXTURE_NAMES))
-    r.add_argument("--fault", choices=["none", "loss", "timeout", "timeout-long"], default="none")
+    r.add_argument("--fault", choices=list(FAULT_PRESETS), default="none")
     for q in (m, r):
         q.add_argument("--egress", choices=["tas", "ttubs"], default="ttubs")
         q.add_argument("--attack", action="append", default=[], type=_parse_attack)
@@ -159,12 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.scenario)
         counts = census(scenario, args.mode).as_dict()
         if args.csv:
-            fields = ["frame", "link", "flow", "e2e", "isolation", "total"]
-            print("scenario,devices,streams," + ",".join(fields))
-            print(
-                f"{scenario.name},{len(scenario.nodes)},{len(scenario.streams)},"
-                + ",".join(str(counts[f]) for f in fields)
-            )
+            print("scenario,devices,streams," + ",".join(counts))
+            row = [scenario.name, len(scenario.nodes), len(scenario.streams), *counts.values()]
+            print(",".join(map(str, row)))
         else:
             print(json.dumps(counts))
         return 0

@@ -32,7 +32,7 @@ from .model import (
     InvalidInputError,
     Scenario,
     Stream,
-    _sym,
+    _var_stem,
     expand_frame_instances,
 )
 from .schedule import Schedule, nfic_queue
@@ -110,7 +110,7 @@ class QueueVar:
 
 
 def queue_var_name(stream: str, link: LinkKey) -> str:
-    return f"q_{_sym(stream)}_{_sym(link[0])}__{_sym(link[1])}"
+    return f"q_{_var_stem(stream, link)}"
 
 
 @dataclass
@@ -160,6 +160,8 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class ConstraintCensus:
+    """Constraint count per family; one field per name in ``CATEGORIES``."""
+
     frame: int
     link: int
     flow: int
@@ -168,17 +170,11 @@ class ConstraintCensus:
 
     @property
     def total(self) -> int:
-        return self.frame + self.link + self.flow + self.e2e + self.isolation
+        return sum(getattr(self, c) for c in CATEGORIES)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "frame": self.frame,
-            "link": self.link,
-            "flow": self.flow,
-            "e2e": self.e2e,
-            "isolation": self.isolation,
-            "total": self.total,
-        }
+        """The counts in ``CATEGORIES`` order, then ``total``."""
+        return {**{c: getattr(self, c) for c in CATEGORIES}, "total": self.total}
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,26 @@ US = 1_000  # ns per microsecond
 SW2_SW1 = ("SW2", "SW1")
 SW1_CH = ("SW1", "CentralHost")
 
-FIXTURE_NAMES = ("table3", "table6", "table7", "table8")
 # the mode each fixture's schedule validates in: only table6 separates queues
 VALIDATION_MODES = {"table3": "nfic", "table6": "wa", "table7": "nfic", "table8": "nfic"}
+FIXTURE_NAMES = tuple(VALIDATION_MODES)
+
+# Published switch-hop eligibility offsets in us, per stream: (SW2->SW1 by
+# slot, SW1->CentralHost by slot).  table3 comes from the constraint-solver
+# run without isolation constraints (all streams share queue 4), table7 from
+# the array-encoding solver run, whose table lacks radar's SW2->SW1 offset,
+# and table8 from the heuristic list scheduler without isolation checks.
+PUBLISHED_US = {
+    "table3": {"control": ((3,), (6,)), "cam1": ((21, 121), (32, 132)),
+               "cam2": ((11, 111), (22, 122)), "radar": ((5,), (10,))},
+    "table7": {"control": ((74,), (77,)), "cam1": ((64, 137), (79, 175)),
+               "cam2": ((31, 151), (89, 189)), "radar": ((), (185,))},
+    "table8": {"control": ((2,), (4,)), "cam1": ((10, 110), (20, 120)),
+               "cam2": ((20, 120), (30, 130)), "radar": ((4,), (8,))},
+}
+# table6: table3's offsets with each stream in a shared queue of its own on
+# both switch hops
+TABLE6_QUEUES = {"cam1": 4, "cam2": 5, "radar": 6, "control": 7}
 
 
 def adas_scenario() -> Scenario:
@@ -42,104 +59,45 @@ def adas_scenario() -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _with_talker_sends(scenario: Scenario, offsets: dict) -> dict:
-    """Talker send times are pinned to the slot starts (0, T, 2T, ...)."""
-    out = dict(offsets)
+def fixture_schedule(name: str, scenario: Scenario | None = None) -> tuple[Schedule, list]:
+    """Look up a bundled schedule by fixture name; returns (schedule,
+    filled-entries) where the second item is non-empty only for the
+    partial fixture, table7.  Talker send times are pinned to the slot
+    starts (0, T, 2T, ...)."""
+    if name not in VALIDATION_MODES:
+        raise InvalidInputError(f"unknown fixture {name!r} (expected one of {FIXTURE_NAMES})")
+    scenario = scenario or adas_scenario()
+    published = PUBLISHED_US["table3" if name == "table6" else name]
+    offsets = {
+        (st, link, slot): us * US
+        for hop, link in enumerate((SW2_SW1, SW1_CH))
+        for st, hops in published.items()
+        for slot, us in enumerate(hops[hop])
+    }
     for s in scenario.streams:
-        first = s.route[0]
         for slot in range(scenario.slots_of(s)):
-            out[(s.id, first, slot)] = slot * s.period_ns
-    return out
-
-
-def _switch_table(rows: dict[tuple[str, str, int], int]) -> dict:
-    """rows: (stream, 'sw2'|'sw1', slot) -> eligibility offset in us."""
-    link = {"sw2": SW2_SW1, "sw1": SW1_CH}
-    return {(st, link[sw], slot): us * US for (st, sw, slot), us in rows.items()}
+            offsets[(s.id, s.route[0], slot)] = slot * s.period_ns
+    sched = Schedule(offsets=offsets)
+    if name == "table6":
+        for st, q in TABLE6_QUEUES.items():
+            sched.queues[(st, SW2_SW1)] = sched.queues[(st, SW1_CH)] = q
+    return sched, (_fill_missing(scenario, sched) if name == "table7" else [])
 
 
 def table3_schedule(scenario: Scenario | None = None) -> Schedule:
-    """Offsets produced by the constraint-solver run without isolation
-    constraints; all streams share shared queue 4."""
-    scenario = scenario or adas_scenario()
-    offsets = _switch_table(
-        {
-            ("control", "sw2", 0): 3,
-            ("cam1", "sw2", 0): 21,
-            ("cam1", "sw2", 1): 121,
-            ("cam2", "sw2", 0): 11,
-            ("cam2", "sw2", 1): 111,
-            ("radar", "sw2", 0): 5,
-            ("control", "sw1", 0): 6,
-            ("cam1", "sw1", 0): 32,
-            ("cam1", "sw1", 1): 132,
-            ("cam2", "sw1", 0): 22,
-            ("cam2", "sw1", 1): 122,
-            ("radar", "sw1", 0): 10,
-        }
-    )
-    return Schedule(offsets=_with_talker_sends(scenario, offsets))
+    return fixture_schedule("table3", scenario)[0]
 
 
 def table6_schedule(scenario: Scenario | None = None) -> Schedule:
-    """Queue-separated variant of the same offsets (isolation satisfied by
-    assigning each stream its own shared queue, indices 4..7)."""
-    scenario = scenario or adas_scenario()
-    sched = table3_schedule(scenario)
-    queues = {"cam1": 4, "cam2": 5, "radar": 6, "control": 7}
-    for st, q in queues.items():
-        sched.queues[(st, SW2_SW1)] = q
-        sched.queues[(st, SW1_CH)] = q
-    return sched
-
-
-def table8_schedule(scenario: Scenario | None = None) -> Schedule:
-    """Offsets produced by the heuristic list scheduler without isolation
-    checks."""
-    scenario = scenario or adas_scenario()
-    offsets = _switch_table(
-        {
-            ("control", "sw2", 0): 2,
-            ("cam1", "sw2", 0): 10,
-            ("cam1", "sw2", 1): 110,
-            ("cam2", "sw2", 0): 20,
-            ("cam2", "sw2", 1): 120,
-            ("radar", "sw2", 0): 4,
-            ("control", "sw1", 0): 4,
-            ("cam1", "sw1", 0): 20,
-            ("cam1", "sw1", 1): 120,
-            ("cam2", "sw1", 0): 30,
-            ("cam2", "sw1", 1): 130,
-            ("radar", "sw1", 0): 8,
-        }
-    )
-    return Schedule(offsets=_with_talker_sends(scenario, offsets))
+    return fixture_schedule("table6", scenario)[0]
 
 
 def table7_schedule(scenario: Scenario | None = None) -> tuple[Schedule, list]:
-    """Partial fixture from the array-encoding solver run: the first-slot
-    radar offset on the inter-switch link is missing from the published
-    table.  Returns the completed schedule and the list of filled entries.
-    """
-    scenario = scenario or adas_scenario()
-    offsets = _switch_table(
-        {
-            ("control", "sw2", 0): 74,
-            ("cam1", "sw2", 0): 64,
-            ("cam1", "sw2", 1): 137,
-            ("cam2", "sw2", 0): 31,
-            ("cam2", "sw2", 1): 151,
-            ("control", "sw1", 0): 77,
-            ("cam1", "sw1", 0): 79,
-            ("cam1", "sw1", 1): 175,
-            ("cam2", "sw1", 0): 89,
-            ("cam2", "sw1", 1): 189,
-            ("radar", "sw1", 0): 185,
-        }
-    )
-    sched = Schedule(offsets=_with_talker_sends(scenario, offsets))
-    filled = _fill_missing(scenario, sched)
-    return sched, filled
+    return fixture_schedule("table7", scenario)
+
+
+def table8_schedule(scenario: Scenario | None = None) -> Schedule:
+    return fixture_schedule("table8", scenario)[0]
 
 
 def _fill_missing(scenario: Scenario, sched: Schedule) -> list:
@@ -163,19 +121,3 @@ def _fill_missing(scenario: Scenario, sched: Schedule) -> list:
             )
         filled.append((fi.stream, fi.link, fi.slot, chosen))
     return filled
-
-
-def fixture_schedule(name: str, scenario: Scenario | None = None) -> tuple[Schedule, list]:
-    """Look up a bundled schedule by fixture name; returns (schedule,
-    filled-entries) where the second item is non-empty only for partial
-    fixtures."""
-    scenario = scenario or adas_scenario()
-    if name == "table3":
-        return table3_schedule(scenario), []
-    if name == "table6":
-        return table6_schedule(scenario), []
-    if name == "table7":
-        return table7_schedule(scenario)
-    if name == "table8":
-        return table8_schedule(scenario), []
-    raise InvalidInputError(f"unknown fixture {name!r} (expected one of {FIXTURE_NAMES})")

@@ -29,6 +29,7 @@ __all__ = [
     "replay_fixture",
     "table5_drop",
     "table5_delay",
+    "FAULT_PRESETS",
     "rows_to_csv",
     "metrics_csv",
     "report_census",
@@ -165,37 +166,27 @@ def run_census_study(plan: ExperimentPlan) -> list[dict]:
 def _solver_cell(args) -> list[dict]:
     switches, streams, rep, seed, timeout_s = args
     sc = gen_chain(ChainSpec(switches, streams, rng_seed=seed))
+
+    def row(engine: str, mode: str, res, census_total, backjumps) -> dict:
+        return {
+            "devices": switches * (STATIONS_PER_SWITCH + 1),
+            "streams": streams,
+            "rep": rep,
+            "engine": engine,
+            "mode": mode,
+            "status": res.status,
+            "solve_time_s": round(res.solve_time_s, 6),
+            "census_total": census_total,
+            "backjumps": backjumps,
+        }
+
     rows = []
     for mode in ("nfic", "wa"):
         out = solve(SolveRequest(sc, mode, timeout_s=timeout_s))
-        rows.append(
-            {
-                "devices": switches * (STATIONS_PER_SWITCH + 1),
-                "streams": streams,
-                "rep": rep,
-                "engine": "smt",
-                "mode": mode,
-                "status": out.status,
-                "solve_time_s": round(out.solve_time_s, 6),
-                "census_total": out.constraint_census.total,
-                "backjumps": "",
-            }
-        )
+        rows.append(row("smt", mode, out, out.constraint_census.total, ""))
     for mode in ("nfic", "fic"):
         res = lstb_solve(sc, mode, LstbLimits(wall_clock_s=timeout_s))
-        rows.append(
-            {
-                "devices": switches * (STATIONS_PER_SWITCH + 1),
-                "streams": streams,
-                "rep": rep,
-                "engine": "lstb",
-                "mode": mode,
-                "status": res.status,
-                "solve_time_s": round(res.solve_time_s, 6),
-                "census_total": "",
-                "backjumps": res.backjumps,
-            }
-        )
+        rows.append(row("lstb", mode, res, "", res.backjumps))
     return rows
 
 
@@ -235,16 +226,21 @@ def table5_delay(delay_ns: int = 10_000) -> AttackConfig:
     return AttackConfig("SW1", ("SW2", "SW1"), "delay", 21_000, 1, delay_ns, match_stream="cam2")
 
 
+# the Table 5 fault cases of the bundled ADAS fixture, by preset name
+# (AttackConfig is frozen, so every caller may share these tuples)
+FAULT_PRESETS: dict[str, tuple[AttackConfig, ...]] = {
+    "none": (),
+    "loss": (table5_drop(),),
+    "timeout": (table5_delay(10_000),),
+    "timeout-long": (table5_delay(221_000),),
+}
+
+
 def fault_preset(name: str) -> tuple[AttackConfig, ...]:
-    if name == "none":
-        return ()
-    if name == "loss":
-        return (table5_drop(),)
-    if name == "timeout":
-        return (table5_delay(10_000),)
-    if name == "timeout-long":
-        return (table5_delay(221_000),)
-    raise InvalidInputError(f"unknown fault preset {name!r}")
+    try:
+        return FAULT_PRESETS[name]
+    except KeyError:
+        raise InvalidInputError(f"unknown fault preset {name!r}") from None
 
 
 @dataclass

@@ -171,13 +171,18 @@ class FrameInstance:
 
     @cached_property
     def var_name(self) -> str:
-        return f"off_{_sym(self.stream)}_{_sym(self.link[0])}__{_sym(self.link[1])}_{self.slot}"
+        return f"off_{_var_stem(self.stream, self.link)}_{self.slot}"
 
 
 def _sym(text: str) -> str:
-    """SMT-LIB symbol part of an id: every non-alphanumeric becomes ``_``.
-    Names both offset and queue variables."""
+    """SMT-LIB symbol part of an id: every non-alphanumeric becomes ``_``."""
     return "".join(c if c.isalnum() else "_" for c in text)
+
+
+def _var_stem(stream: str, link: tuple[str, str]) -> str:
+    """The symbol part shared by a stream's offset and queue variables on
+    one link; distinct (stream, link) pairs need distinct stems."""
+    return f"{_sym(stream)}_{_sym(link[0])}__{_sym(link[1])}"
 
 
 def hyper_period(periods: Sequence[int]) -> int:
@@ -251,6 +256,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 defects.append(f"link {ln}: unknown node {end}")
 
     seen_streams: set[str] = set()
+    stems: dict[str, str] = {}  # variable stem -> the stream hop it names
     for s in scenario.streams:
         if s.id in seen_streams:
             defects.append(f"stream {s.id}: duplicate id")
@@ -266,9 +272,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if not s.route:
             defects.append(f"stream {s.id}: empty route")
             continue
-        for key in s.route:
+        for key in dict.fromkeys(s.route):
             if key not in seen_links:
                 defects.append(f"stream {s.id}: route uses unknown link {key[0]}->{key[1]}")
+            if s.route.count(key) > 1:
+                defects.append(f"stream {s.id}: route uses link {key[0]}->{key[1]} more than once")
+            hop = f"{s.id}@{key[0]}->{key[1]}"
+            other = stems.setdefault(_var_stem(s.id, key), hop)
+            if other != hop:
+                defects.append(f"stream {s.id}: {hop} and {other} sanitize to one solver symbol")
         for a, b in zip(s.route, s.route[1:]):
             if a[1] != b[0]:
                 defects.append(f"stream {s.id}: route not a path at {a[1]}/{b[0]}")

@@ -95,7 +95,8 @@ class AttackConfig:
     ``delay_time_ns`` (the command line also takes 1 and 2 for them).  The first ``frame_count`` matching frames fully
     received at or after ``startup_time_ns`` are acted on.  ``match_stream``
     narrows the chain to one stream; None matches every stream on the
-    ingress."""
+    ingress.  ``run`` refuses a fault that can never fire: ``ingress`` must
+    be a link into ``switch`` that a matched stream crosses."""
 
     switch: str
     ingress: LinkKey
@@ -257,10 +258,19 @@ class _Engine:
                     raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
             ports[ln.key] = _Port(ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
 
-        # fault meters keyed by (switch, ingress)
-        meters: dict[tuple[str, LinkKey], list] = {}
+        # fault meters keyed by ingress link; a fault that can never fire
+        # is refused rather than ignored
+        kinds = dict(scenario.nodes)
+        meters: dict[LinkKey, list] = {}
         for cfg in config.faults:
-            meters.setdefault((cfg.switch, cfg.ingress), []).append([MeterState(cfg), []])
+            where = f"fault at {cfg.switch} on ingress {cfg.ingress[0]}->{cfg.ingress[1]}"
+            if cfg.ingress not in ports or kinds.get(cfg.ingress[1]) != "switch":
+                raise InvalidInputError(f"{where}: not a link of the scenario into a switch")
+            if cfg.switch != cfg.ingress[1]:
+                raise InvalidInputError(f"{where}: the link ends at {cfg.ingress[1]}")
+            if not any(cfg.match_stream in (None, s.id) for s in scenario.streams_on_link(cfg.ingress)):
+                raise InvalidInputError(f"{where}: no stream it matches crosses the link")
+            meters.setdefault(cfg.ingress, []).append([MeterState(cfg), []])
 
         # per stream, one (egress port, shared queue, shaped queue or None,
         # meters at the link's far end) per route hop; end-station egress
@@ -282,7 +292,7 @@ class _Engine:
                         shaped = _ShapedQueue(row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
                 if queue not in port.used:
                     port.used = tuple(sorted((*port.used, queue), reverse=True))
-                hops.append((port, queue, shaped, tuple(meters.get((key[1], key), ()))))
+                hops.append((port, queue, shaped, tuple(meters.get(key, ()))))
             self.hops.append(tuple(hops))
             self.plans.append(_with_wire_times(hops, s.payload_min) if s.payload_min == s.payload_max else None)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .constraints import Atom, ConstraintSet, ConstraintCensus, build_constraint_set
 from .model import InvalidInputError, Scenario
 from .schedule import Schedule
-from .smtlib_solver import SolverInputError, parse_sexprs, tokenize
+from .smtlib_solver import SolverInputError, int_literal, int_value, parse_sexprs, tokenize
 
 __all__ = [
     "SolveRequest",
@@ -82,7 +82,7 @@ def _atom_sexpr(atom: Atom) -> str:
         if len(terms) == 2 and terms[0][1] == 1 and terms[1][1] == -1 and atom.const == 0:
             return f"(distinct {terms[0][0]} {terms[1][0]})"
         raise InvalidInputError(f"unsupported disequality shape: {atom}")
-    rhs = str(atom.const) if atom.const >= 0 else f"(- {-atom.const})"
+    rhs = int_literal(atom.const)
     if len(terms) == 1 and terms[0][1] == 1:
         return f"({atom.op} {terms[0][0]} {rhs})"
     if len(terms) == 2 and terms[0][1] == 1 and terms[1][1] == -1:
@@ -129,17 +129,6 @@ def encode(cs: ConstraintSet) -> str:
 # ---------------------------------------------------------------------------
 # model parsing
 
-def _int_value(node) -> int:
-    if isinstance(node, str):
-        try:
-            return int(node)
-        except ValueError:
-            raise ModelParseError(f"non-integer model value {node!r}") from None
-    if isinstance(node, list) and len(node) == 2 and node[0] == "-":
-        return -_int_value(node[1])
-    raise ModelParseError(f"non-integer model value {node!r}")
-
-
 def parse_model(output: str, declared: list[str]) -> dict[str, int]:
     """Extract a total integer assignment from solver output.
 
@@ -148,10 +137,6 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
     assigned; names outside the declaration set are rejected.
     """
     declared_set = set(declared)
-    try:
-        forms = parse_sexprs(tokenize(output))
-    except SolverInputError as exc:
-        raise ModelParseError(str(exc)) from exc
     assignment: dict[str, int] = {}
 
     def visit(node):
@@ -164,7 +149,7 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
             name = node[1]
             if name not in declared_set:
                 raise ModelParseError(f"unknown variable {name!r} in model")
-            assignment[name] = _int_value(node[4])
+            assignment[name] = int_value(node[4])
             return
         if head == "model":
             for sub in node[1:]:
@@ -174,15 +159,17 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
             # flat (name value) pair, the get-value answer shape
             if head not in declared_set:
                 raise ModelParseError(f"unknown variable {head!r} in model")
-            assignment[head] = _int_value(node[1])
+            assignment[head] = int_value(node[1])
             return
         for sub in node:
             visit(sub)
 
-    for form in forms:
-        if form == "sat" or form == "unsat":
-            continue
-        visit(form)
+    try:
+        for form in parse_sexprs(tokenize(output)):
+            if form != "sat" and form != "unsat":
+                visit(form)
+    except SolverInputError as exc:
+        raise ModelParseError(str(exc)) from exc
     missing = [v for v in declared if v not in assignment]
     if missing:
         raise ModelParseError(f"unassigned variable {missing[0]!r}")

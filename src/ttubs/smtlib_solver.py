@@ -39,7 +39,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-__all__ = ["SolverInputError", "tokenize", "parse_sexprs", "solve_instance", "run", "main"]
+__all__ = ["SolverInputError", "tokenize", "parse_sexprs", "int_value", "int_literal", "solve_instance", "run", "main"]
 
 
 class SolverInputError(Exception):
@@ -47,8 +47,10 @@ class SolverInputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# s-expression reading, also used by ttubs.smt to read models (this module
-# imports nothing from ttubs, so the process stays importable on its own)
+# s-expressions and integer literals, also used by ttubs.smt to write
+# problems and read models (this module imports no other ttubs module, and
+# the package's __init__ imports none either, so the child loads nothing
+# else of ttubs)
 
 # a comment, or a token: a parenthesis or a run of anything else but
 # whitespace; comments leave an empty group, which tokenize drops
@@ -74,6 +76,21 @@ def parse_sexprs(tokens: list[str]):
     if stack:
         raise SolverInputError("unbalanced '('")
     return out
+
+
+def int_value(node) -> int:
+    """An SMT-LIB integer, ``n`` or ``(- n)`` with ``n`` a run of ASCII
+    digits."""
+    neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
+    digits = node[1] if neg else node
+    if isinstance(digits, str) and digits.isascii() and digits.isdigit():
+        return -int(digits) if neg else int(digits)
+    raise SolverInputError(f"expected an integer constant, got {node!r}")
+
+
+def int_literal(value: int) -> str:
+    """The text :func:`int_value` reads back as ``value``."""
+    return str(value) if value >= 0 else f"(- {-value})"
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +124,11 @@ def _term(node, variables: set[str]) -> dict[str, int]:
     return {_var(node, variables): 1}
 
 
-def _const(node) -> int:
-    """``n`` or ``(- n)``."""
-    neg = isinstance(node, list) and len(node) == 2 and node[0] == "-"
-    digits = node[1] if neg else node
-    if isinstance(digits, str) and digits.isascii() and digits.isdigit():
-        return -int(digits) if neg else int(digits)
-    raise SolverInputError(f"expected an integer constant, got {node!r}")
-
-
 def _atom(node, variables: set[str]) -> GeAtom:
     """``(>= term k)`` or ``(<= term k)``."""
     if isinstance(node, list) and len(node) == 3 and node[0] in (">=", "<="):
         sign = 1 if node[0] == ">=" else -1
-        return _ge_atom(_term(node[1], variables), sign, sign * _const(node[2]))
+        return _ge_atom(_term(node[1], variables), sign, sign * int_value(node[2]))
     raise SolverInputError(f"unsupported atom {node!r}")
 
 
@@ -341,9 +349,7 @@ def run(text: str, out=sys.stdout) -> int:
         elif cmd == "get-model" and model is not None:
             print("(", file=out)
             for v in variables:
-                val = model[v]
-                rendered = str(val) if val >= 0 else f"(- {-val})"
-                print(f"  (define-fun {v} () Int {rendered})", file=out)
+                print(f"  (define-fun {v} () Int {int_literal(model[v])})", file=out)
             print(")", file=out)
     return 0
 

@@ -237,3 +237,35 @@ def test_load_scenario_lists_every_defect(adas, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError, match="rate must be positive; link SW2->SW1: queue_count"):
         load_scenario(path)
+
+
+def _ring_scenario(streams, name="ring"):
+    nodes = (("A", "end-station"), ("S1", "switch"), ("S2", "switch"), ("B", "end-station"))
+    keys = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
+    return Scenario(nodes, tuple(Link(a, b, 1_000_000_000) for a, b in keys), tuple(streams), name=name)
+
+
+def test_scenario_from_dict_rejects_route_reusing_a_link():
+    # no later layer can run this route: lstb overwrites an upstream index
+    route = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
+    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, route, 100 * US, 10 * US)])
+    with pytest.raises(InvalidInputError) as err:
+        scenario_from_dict(scenario_to_dict(sc))
+    assert str(err.value) == (
+        "invalid scenario 'ring': stream s: route uses link S1->S2 more than once; "
+        "stream s: route uses link S2->S1 more than once"
+    )
+
+
+def test_load_scenario_rejects_ids_that_sanitize_to_one_symbol(tmp_path):
+    # "s-1" and "s_1" both sanitize to s_1, so their variables share names
+    route = (("A", "S1"), ("S1", "B"))
+    sc = _ring_scenario([Stream(sid, 100 * US, 100, 100, route, 100 * US, 10 * US) for sid in ("s-1", "s_1")])
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(scenario_to_dict(sc)))
+    with pytest.raises(InvalidInputError) as err:
+        load_scenario(path)
+    assert str(err.value) == (
+        "invalid scenario 'ring': stream s_1: s_1@A->S1 and s-1@A->S1 sanitize to one solver symbol; "
+        "stream s_1: s_1@S1->B and s-1@S1->B sanitize to one solver symbol"
+    )

@@ -455,3 +455,20 @@ def test_no_wake_for_ungated_ports_without_faults(monkeypatch, case):
             assert ports == []
         else:
             assert ports and all(p.gcl is not None for p in ports)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        replace(table5_drop(), switch="SW1"),  # ingress AV2->SW2 ends at SW2
+        replace(table5_drop(), ingress=("AV9", "SW2")),  # not a link of the scenario
+        replace(table5_drop(), match_stream="cam9"),  # not a stream
+        replace(table5_drop(), match_stream="cam1"),  # a stream that never crosses AV2->SW2
+    ],
+)
+def test_fault_that_cannot_fire_is_refused(fault):
+    # each of these would meter no frame and report attack_dropped 0
+    with pytest.raises(InvalidInputError, match="fault at"):
+        replay_fixture("table3", "ttubs", (fault,), 1, SHORT)
+    rep = replay_fixture("table3", "ttubs", (table5_drop(),), 1, SHORT)
+    assert rep.metrics["cam2"].drops["attack_dropped"] == 1

@@ -2,8 +2,10 @@ import hashlib
 import io
 import itertools
 import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -565,3 +567,26 @@ def test_solve_builds_constraint_set_once(adas, monkeypatch):
     assert out.status == "sat"
     assert out.constraint_census.total == 88
     assert calls == {"build_constraint_set": 1, "expand_frame_instances": 1}
+
+
+@pytest.mark.parametrize("value", ["1_000", "+5", "-5", "٣"])
+def test_parse_model_reads_only_smtlib_integers(value):
+    # int() takes all four; the SMT-LIB numeral grammar and the bundled
+    # solver's reader take none
+    with pytest.raises(ModelParseError, match="expected an integer constant"):
+        parse_model(f"sat\n(\n  (define-fun x () Int {value})\n)\n", ["x"])
+    assert parse_model("sat\n(\n  (define-fun x () Int (- 5))\n)\n", ["x"]) == {"x": -5}
+
+
+@given(st.integers(-(10**20), 10**20))
+def test_int_literal_reads_back(value):
+    [node] = smtlib_solver.parse_sexprs(smtlib_solver.tokenize(smtlib_solver.int_literal(value)))
+    assert smtlib_solver.int_value(node) == value
+
+
+def test_solver_child_loads_no_other_ttubs_module():
+    src = str(Path(smtlib_solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ttubs.smtlib_solver; print(sorted(m for m in sys.modules if m.split('.')[0] == 'ttubs'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "['ttubs', 'ttubs.smtlib_solver']"
