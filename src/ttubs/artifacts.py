@@ -21,7 +21,6 @@ import io
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .model import N_QUEUES, InvalidInputError, Scenario, Stream, bytes_to_duration, ns_to_us_str
 from .schedule import Schedule
@@ -141,34 +140,45 @@ class GateControlList:
         return tuple(out)
 
     @cached_property
-    def open_all_cycle(self) -> tuple[bool, ...]:
-        """Per queue, whether its gate never closes."""
-        return tuple(wins == ((0, self.cycle_time_ns),) for wins in self.windows)
+    def _bounds(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]:
+        """Per queue, None if its gate never closes, else (window starts,
+        window ends, longest window length; -1 with no window).  The starts
+        and ends run over the windows of the previous, this and the next
+        cycle, relative to this cycle's start, so both are sorted and the
+        previous cycle's window that runs on into this one is among them."""
+        cycle = self.cycle_time_ns
+        out = []
+        for wins in self.windows:
+            if wins == ((0, cycle),):
+                out.append(None)
+                continue
+            unrolled = [(start + shift, end + shift) for shift in (-cycle, 0, cycle) for start, end in wins]
+            longest = max((end - start for start, end in wins), default=-1)
+            out.append((tuple(s for s, _ in unrolled), tuple(e for _, e in unrolled), longest))
+        return tuple(out)
 
     def next_fit_start(self, queue: int, t: int, duration: int) -> int | None:
         """Earliest absolute time >= t at which a frame of ``duration`` can
         start so that it completes before the queue's gate closes.  None if
         no window of the queue is that long (then none ever will be)."""
-        if self.open_all_cycle[queue]:
+        bounds = self._bounds[queue]
+        if bounds is None:
             return t
-        wins = self.windows[queue]
-        if not wins:
+        starts, ends, longest = bounds
+        if duration > longest:
             return None
-        cycle = self.cycle_time_ns
-        pos = t % cycle
-        base = t - pos
-        n = len(wins)
-        # the first window that ends after pos; -1 is the previous cycle's
-        # last window when it runs on past pos
-        first = -1 if wins[-1][1] - cycle > pos else bisect_right(wins, pos, key=itemgetter(1))
-        # n + 1 windows: the first may hold t, so every window also comes in full
-        for k in range(first, first + n + 1):
-            start, end = wins[k % n]
-            shift = base + k // n * cycle
-            fit = max(t, shift + start)
-            if fit + duration <= shift + end:
-                return fit
-        return None
+        pos = t % self.cycle_time_ns
+        # the first window that ends after pos may hold pos; every later one
+        # starts after it.  A longest window comes in full before the third
+        # cycle's windows run out, so the walk stays in bounds.
+        k = bisect_right(ends, pos)
+        fit = starts[k]
+        if fit < pos:
+            fit = pos
+        while fit + duration > ends[k]:
+            k += 1
+            fit = starts[k]
+        return t - pos + fit
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -142,7 +142,7 @@ class Scenario:
     def streams_on_link(self, key: tuple[str, str]) -> list[Stream]:
         return [s for s in self.streams if key in s.route]
 
-    @property
+    @cached_property
     def hyper_period_ns(self) -> int:
         """Scenario-wide hyper-period: one cycle length shared by every
         table, gate list and slot index.  Per-link least common multiples
@@ -185,6 +185,21 @@ def _var_stem(stream: str, link: tuple[str, str]) -> str:
     return f"{_sym(stream)}_{_sym(link[0])}__{_sym(link[1])}"
 
 
+def _route_repeats(stream: Stream) -> list[str]:
+    """One defect per link that the stream's route uses more than once.
+    Every layer keys a hop by (stream, link), so none can take such a route:
+    :func:`validate_scenario` lists these, and frame expansion, which both
+    engines start from, raises them for a scenario built in code."""
+    route = stream.route
+    if len(set(route)) == len(route):
+        return []
+    return [
+        f"stream {stream.id}: route uses link {a}->{b} more than once"
+        for a, b in dict.fromkeys(route)
+        if route.count((a, b)) > 1
+    ]
+
+
 def hyper_period(periods: Sequence[int]) -> int:
     """Least common multiple of the given periods (ns)."""
     if not periods:
@@ -221,6 +236,9 @@ def expand_frame_instances(scenario: Scenario) -> list[FrameInstance]:
     out: list[FrameInstance] = []
     hp = scenario.hyper_period_ns
     for s in scenario.streams:
+        repeats = _route_repeats(s)
+        if repeats:
+            raise InvalidInputError("; ".join(repeats))
         n = hp // s.period_ns
         for hop, key in enumerate(s.route):
             dur = bytes_to_duration(s.payload_max, scenario.link(key).rate_bps)
@@ -272,11 +290,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if not s.route:
             defects.append(f"stream {s.id}: empty route")
             continue
+        defects += _route_repeats(s)
         for key in dict.fromkeys(s.route):
             if key not in seen_links:
                 defects.append(f"stream {s.id}: route uses unknown link {key[0]}->{key[1]}")
-            if s.route.count(key) > 1:
-                defects.append(f"stream {s.id}: route uses link {key[0]}->{key[1]} more than once")
             hop = f"{s.id}@{key[0]}->{key[1]}"
             other = stems.setdefault(_var_stem(s.id, key), hop)
             if other != hop:

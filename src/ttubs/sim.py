@@ -50,6 +50,14 @@ of a wake at every start, but for one case: after a start at the instant
 the port fell idle, the number is drawn at that start rather than by the
 idle wake, so the wake can run ahead of another port's equal-time wake
 drawn in between.
+
+A gated port asks its gate list (``next_fit_start``) when its head frame
+can start.  The frame keeps the answer as its known fit ``f``, and a port
+whose heads all fit later wakes at the earliest of them.  A try at ``t == f``
+with that frame still at the head starts it without asking again: the gate
+list is static, so the earliest fit at or after ``f`` is ``f`` itself.  A
+frame cannot meet a stale fit at its next hop, which it reaches after
+``f`` plus a wire time.
 """
 
 from __future__ import annotations
@@ -187,7 +195,7 @@ class MeterState:
 
 
 class _Frame:
-    __slots__ = ("stream_idx", "slot", "payload", "send_time", "plan", "hop", "dur")
+    __slots__ = ("stream_idx", "slot", "payload", "send_time", "plan", "hop", "dur", "fit")
 
     def __init__(self, stream_idx, slot, payload, send_time, plan):
         self.stream_idx = stream_idx
@@ -197,6 +205,7 @@ class _Frame:
         self.plan = plan  # the stream's hops with this payload's wire times
         self.hop = 0
         self.dur = 0  # wire time on the current hop
+        self.fit = -1  # the gate's last answer for this frame; -1 before any
 
 
 class _ShapedQueue:
@@ -462,7 +471,10 @@ class _Engine:
             dq = port.queues[q]
             while dq:
                 head = dq[0]
-                start = t if gcl is None else gcl.next_fit_start(q, t, head.dur)
+                if gcl is None or head.fit == t:
+                    start = t
+                else:
+                    start = head.fit = gcl.next_fit_start(q, t, head.dur)
                 if start == t:
                     dq.popleft()
                     port.busy_until = t + head.dur

@@ -166,8 +166,13 @@ def _brute_next_fit(gcl, queue, t, duration):
 
 
 def _assert_matches_brute_force(gcl, queue, duration):
+    """Every answer over two cycles is the brute-force one, and asking
+    again at an answer gives it back: the simulator starts a head at its
+    known fit without asking."""
     for t in range(2 * gcl.cycle_time_ns):
-        assert gcl.next_fit_start(queue, t, duration) == _brute_next_fit(gcl, queue, t, duration), t
+        fit = gcl.next_fit_start(queue, t, duration)
+        assert fit == _brute_next_fit(gcl, queue, t, duration), t
+        assert fit is None or gcl.next_fit_start(queue, fit, duration) == fit, t
 
 
 # queue 1: open 0-30 (two touching intervals), 80-120 and 170-200, which

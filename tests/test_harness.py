@@ -178,7 +178,7 @@ def test_cli_full_pipeline(tmp_path, capsys):
         "--egress", "ttubs", "--seed", "2", "--duration-s", "0.05",
         "--out", str(metrics_path),
     ]) == 0
-    rows = list(csv.DictReader(metrics_path.open()))
+    rows = list(csv.DictReader(metrics_path.read_text().splitlines()))
     assert len(rows) == 4
     assert all(int(r["deadline_violations"]) == 0 for r in rows)
 
@@ -221,7 +221,7 @@ def test_cli_report_replay_matrix(tmp_path):
         "report", "--replay-matrix", "--duration-s", "0.002", "--seed", "1",
         "--out", str(out_path),
     ]) == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
     assert len(rows) == 7 * 4  # 7 replay cases x 4 streams
     assert {r["egress"] for r in rows} == {"tas", "ttubs"}
 
@@ -232,7 +232,7 @@ def test_cli_study_census(tmp_path):
         "study-census", "--switches", "1", "--streams", "2,4",
         "--reps", "2", "--seed", "0", "--workers", "1", "--out", str(out_path),
     ]) == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
     assert len(rows) == 2
     pivot_path = tmp_path / "pivot.csv"
     assert main(["report", "--census", str(out_path), "--out", str(pivot_path)]) == 0

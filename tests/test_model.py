@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from ttubs.lstb import lstb_solve
 from ttubs.model import (
     N_QUEUES,
     InvalidInputError,
@@ -17,6 +18,7 @@ from ttubs.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from ttubs.smt import SolveRequest, solve as smt_solve
 
 US = 1_000
 MS = 1_000_000
@@ -245,15 +247,38 @@ def _ring_scenario(streams, name="ring"):
     return Scenario(nodes, tuple(Link(a, b, 1_000_000_000) for a, b in keys), tuple(streams), name=name)
 
 
+RING_ROUTE = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
+
+
 def test_scenario_from_dict_rejects_route_reusing_a_link():
     # no later layer can run this route: lstb overwrites an upstream index
-    route = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
-    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, route, 100 * US, 10 * US)])
+    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, RING_ROUTE, 100 * US, 10 * US)])
     with pytest.raises(InvalidInputError) as err:
         scenario_from_dict(scenario_to_dict(sc))
     assert str(err.value) == (
         "invalid scenario 'ring': stream s: route uses link S1->S2 more than once; "
         "stream s: route uses link S2->S1 more than once"
+    )
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda sc: lstb_solve(sc, "nfic"),
+        lambda sc: lstb_solve(sc, "fic"),
+        lambda sc: smt_solve(SolveRequest(sc, "nfic")),
+        lambda sc: smt_solve(SolveRequest(sc, "wa")),
+    ],
+    ids=["lstb-nfic", "lstb-fic", "smt-nfic", "smt-wa"],
+)
+def test_engines_reject_route_reusing_a_link_built_in_code(engine):
+    # a scenario built in code skips validate_scenario; both engines expand
+    # frames first, which names the repeated links
+    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, RING_ROUTE, 100 * US, 10 * US)])
+    with pytest.raises(InvalidInputError) as err:
+        engine(sc)
+    assert str(err.value) == (
+        "stream s: route uses link S1->S2 more than once; stream s: route uses link S2->S1 more than once"
     )
 
 

@@ -304,7 +304,8 @@ def test_finished_engine_freed_without_collector(adas, dep3, egress):
 
 class _WakeAtEveryTxStart(_Engine):
     """Oracle: ``service`` with a wake at ``busy_until`` after every
-    ``tx_start``, on every port, whether or not a frame is queued."""
+    ``tx_start``, on every port, whether or not a frame is queued, and a
+    gate query at every try of a gated head, its known fit or not."""
 
     def service(self, t, port):
         if port.busy_until > t:
@@ -390,8 +391,8 @@ def trace_dir(tmp_path_factory):
 @given(_replay_configs())
 def test_wake_rule_matches_always_wake_oracle(trace_dir, config):
     """On deployed schedules, with or without faults, skipping an idle
-    ungated port's wake moves no event: the trace is byte-identical to the
-    oracle's."""
+    ungated port's wake, or the gate query at a head's known fit, moves no
+    event: the trace is byte-identical to the oracle's."""
     assert _trace(config, trace_dir / "run.csv") == _oracle_trace(config, trace_dir / "oracle.csv")
 
 
@@ -420,6 +421,62 @@ def test_frame_behind_busy_ungated_port_keeps_wake_order(tmp_path):
         assert starts[2:4] == ["b", "d"]
     rep = run(SimConfig(sc, dep, "tas", (), 1, 100_000))
     assert [rep.metrics[n].e2e_max_ns for n in "bd"] == [9_776, 11_876]
+
+
+class _AskedGate:
+    """A port's gate list that records each query, in the order asked, as
+    (head frame, t, answer)."""
+
+    def __init__(self, port, asked):
+        self.port, self.gcl, self.asked = port, port.gcl, asked
+
+    def next_fit_start(self, queue, t, duration):
+        answer = self.gcl.next_fit_start(queue, t, duration)
+        self.asked.append((self.port.queues[queue][0], t, answer))
+        return answer
+
+
+def _gate_queries(engine_class, config, path) -> tuple[list, bytes]:
+    engine = engine_class(config, str(path))
+    asked = []
+    for port in {hop[0] for hops in engine.hops for hop in hops}:
+        if port.gcl:
+            port.gcl = _AskedGate(port, asked)
+    engine.run()
+    return asked, path.read_bytes()
+
+
+def _retries_at_known_fit(asked) -> int:
+    """Queries at the time of the same head's previous answer."""
+    last, count = {}, 0
+    for head, t, answer in asked:
+        count += last.get(head) == t
+        last[head] = answer
+    return count
+
+
+@pytest.mark.parametrize("case", ["chain-3x10", "table3", "table6"])
+def test_tas_never_asks_the_gate_at_a_known_fit(tmp_path, case):
+    """Fault-free ``tas``: the gate list is static, so a head woken at the
+    fit it was given starts without a query.  The oracle asks at every try;
+    the engine asks exactly the oracle's queries less those retries, and
+    the events are the same."""
+    if case.startswith("chain"):
+        sc = gen_chain(ChainSpec(3, 10, rng_seed=1))
+        res = lstb_solve(sc, "nfic", LstbLimits())
+        assert res.status == "sat"
+        sched = res.schedule
+    else:
+        sc = adas_scenario()
+        sched, _ = fixture_schedule(case, sc)
+    config = SimConfig(sc, build_deployment(sc, sched), "tas", (), 1, 10 * sc.hyper_period_ns)
+    asked, trace = _gate_queries(_Engine, config, tmp_path / "run.csv")
+    oracle_asked, oracle_trace = _gate_queries(_WakeAtEveryTxStart, config, tmp_path / "oracle.csv")
+    assert trace == oracle_trace
+    assert _retries_at_known_fit(asked) == 0
+    repeats = _retries_at_known_fit(oracle_asked)
+    assert repeats > 0
+    assert len(asked) == len(oracle_asked) - repeats
 
 
 def _wake_counting(monkeypatch):
