@@ -8,12 +8,16 @@ hyper-period schedules the network forever.
 
 from ttubs.constraints import build_constraint_set, census
 from ttubs.fixtures import adas_scenario
-from ttubs.model import expand_frame_instances, ns_to_us_str, validate_scenario
+from ttubs.model import InvalidInputError, Link, Scenario, expand_frame_instances, ns_to_us_str
 
 scenario = adas_scenario()
 
 print("nodes:", ", ".join(f"{n}({k[0]})" for n, k in scenario.nodes))
-print("defects:", validate_scenario(scenario) or "none")
+# A Scenario checks itself when built: a defective one never exists.
+try:
+    Scenario(scenario.nodes, scenario.links + (Link("SW1", "AV1", 0),), scenario.streams, name="broken")
+except InvalidInputError as err:
+    print("refused:", err)
 print("hyper-period:", ns_to_us_str(scenario.hyper_period_ns), "us")
 
 # Each stream occupies one frame instance per period repetition per hop.

@@ -263,9 +263,8 @@ def schedule_from_table(scenario: Scenario, table: ShaperOffsetTable) -> Schedul
 
 def _deployed_queue(scenario: Scenario, schedule: Schedule, stream: str, link: LinkKey) -> int:
     """The schedule's queue for ``stream`` on ``link``; a queue the port
-    does not have (outside ``0..queue_count-1``, or past the gate list's
-    ``N_QUEUES``) cannot be deployed."""
-    count = min(scenario.link(link).queue_count, N_QUEUES)
+    does not have (outside ``0..queue_count-1``) cannot be deployed."""
+    count = scenario.link(link).queue_count
     q = schedule.queue_of(stream, link, count)
     if not 0 <= q < count:
         raise InvalidInputError(f"queue {q} of {stream} on {link[0]}->{link[1]} is outside 0..{count - 1}")

@@ -325,10 +325,6 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
     if mode not in ("wa", "nfic"):
         raise InvalidInputError(f"unknown mode {mode!r} (expected 'wa' or 'nfic')")
     instances = expand_frame_instances(scenario)
-    names = [fi.var_name for fi in instances]
-    if len(set(names)) != len(names):
-        # distinct ids can sanitize to one symbol (e.g. "s-1" vs "s_1")
-        raise InvalidInputError("stream/node ids collide after symbol sanitization")
     by: _Index = {}
     for fi in instances:
         by.setdefault((fi.stream, fi.link), []).append(fi)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 ETHERNET_OVERHEAD_BYTES = 22  # headers + checksum added on top of the payload
 MAX_PAYLOAD_BYTES = 1500
@@ -31,7 +31,6 @@ __all__ = [
     "hyper_period",
     "bytes_to_duration",
     "expand_frame_instances",
-    "validate_scenario",
     "ns_to_us_str",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -88,13 +87,20 @@ class Stream:
 class Scenario:
     """Network graph plus traffic.  Node/link/stream order is significant:
     every derived artifact (constraints, encodings, schedules) iterates in
-    scenario order so that identical scenarios produce identical outputs."""
+    scenario order so that identical scenarios produce identical outputs.
+    Building one with any defect of :func:`validate_scenario` raises
+    :class:`InvalidInputError`, so no later layer checks it again."""
 
     nodes: tuple[tuple[str, str], ...]  # (node id, "end-station" | "switch")
     links: tuple[Link, ...]
     streams: tuple[Stream, ...]
     sync_precision_ns: int = 0
     name: str = "scenario"
+
+    def __post_init__(self):
+        defects = validate_scenario(self)
+        if defects:
+            raise InvalidInputError(f"invalid scenario {self.name!r}: " + "; ".join(defects))
 
     def link(self, key: tuple[str, str]) -> Link:
         try:
@@ -176,28 +182,49 @@ class FrameInstance:
 
 def _sym(text: str) -> str:
     """SMT-LIB symbol part of an id: every non-alphanumeric becomes ``_``."""
+    if text.replace("_", "").isalnum():  # the common case: nothing to change
+        return text
     return "".join(c if c.isalnum() else "_" for c in text)
 
 
 def _var_stem(stream: str, link: tuple[str, str]) -> str:
     """The symbol part shared by a stream's offset and queue variables on
     one link; distinct (stream, link) pairs need distinct stems."""
-    return f"{_sym(stream)}_{_sym(link[0])}__{_sym(link[1])}"
+    return _sym(stream) + _link_stem(link)
 
 
-def _route_repeats(stream: Stream) -> list[str]:
-    """One defect per link that the stream's route uses more than once.
-    Every layer keys a hop by (stream, link), so none can take such a route:
-    :func:`validate_scenario` lists these, and frame expansion, which both
-    engines start from, raises them for a scenario built in code."""
-    route = stream.route
-    if len(set(route)) == len(route):
-        return []
-    return [
-        f"stream {stream.id}: route uses link {a}->{b} more than once"
-        for a, b in dict.fromkeys(route)
-        if route.count((a, b)) > 1
+def _link_stem(link: tuple[str, str]) -> str:
+    """The part of :func:`_var_stem` that names the link."""
+    return f"_{_sym(link[0])}__{_sym(link[1])}"
+
+
+_LINK_INTS = ("rate_bps", "prop_delay_ns", "proc_delay_ns", "queue_count")
+_STREAM_INTS = ("period_ns", "payload_min", "payload_max", "e2e_deadline_ns", "jitter_req_ns")
+
+
+def _type_defects(scenario: Scenario) -> list[str]:
+    """Each id that is not a ``str`` and each count that is not an ``int``.
+    A ``bool`` is an ``int`` subclass to Python but no count of
+    nanoseconds, bits or bytes, so the type must be ``int`` itself."""
+    ids = [n for n, _ in scenario.nodes] + [s.id for s in scenario.streams]
+    ids += [end for ln in scenario.links for end in ln.key]
+    ids += [end for s in scenario.streams for hop in s.route for end in hop]
+    out = [f"id {i} is not a string" for i in dict.fromkeys(repr(i) for i in ids if type(i) is not str)]
+    out += [
+        f"link {ln}: {f} must be an integer"
+        for ln in scenario.links
+        for f in _LINK_INTS
+        if type(getattr(ln, f)) is not int
     ]
+    out += [
+        f"stream {s.id}: {f} must be an integer"
+        for s in scenario.streams
+        for f in _STREAM_INTS
+        if type(getattr(s, f)) is not int
+    ]
+    if type(scenario.sync_precision_ns) is not int:
+        out.append("sync_precision_ns must be an integer")
+    return out
 
 
 def hyper_period(periods: Sequence[int]) -> int:
@@ -236,9 +263,6 @@ def expand_frame_instances(scenario: Scenario) -> list[FrameInstance]:
     out: list[FrameInstance] = []
     hp = scenario.hyper_period_ns
     for s in scenario.streams:
-        repeats = _route_repeats(s)
-        if repeats:
-            raise InvalidInputError("; ".join(repeats))
         n = hp // s.period_ns
         for hop, key in enumerate(s.route):
             dur = bytes_to_duration(s.payload_max, scenario.link(key).rate_bps)
@@ -248,8 +272,14 @@ def expand_frame_instances(scenario: Scenario) -> list[FrameInstance]:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Check every model invariant; returns a list of defects (empty = ok)."""
-    defects: list[str] = []
+    """Every defect of the scenario (empty = ok): each input that a later
+    layer cannot handle.  :class:`Scenario` raises on any at construction,
+    so this returns ``[]`` for every scenario that exists."""
+    # type defects come alone: the checks below hash, compare and format
+    # the same fields
+    defects = _type_defects(scenario)
+    if defects:
+        return defects
     node_ids = [n for n, _ in scenario.nodes]
     if len(set(node_ids)) != len(node_ids):
         defects.append("duplicate node ids")
@@ -258,18 +288,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if kind not in ("end-station", "switch"):
             defects.append(f"node {n}: unknown kind {kind!r}")
 
-    seen_links: set[tuple[str, str]] = set()
+    link_stems: dict[tuple[str, str], str] = {}
     for ln in scenario.links:
-        if ln.key in seen_links:
+        key = ln.key
+        if key in link_stems:
             defects.append(f"link {ln}: duplicate (src, dst)")
-        seen_links.add(ln.key)
+        link_stems[key] = _link_stem(key)
         if ln.rate_bps <= 0:
             defects.append(f"link {ln}: rate must be positive")
         if not 1 <= ln.queue_count <= N_QUEUES:
             defects.append(f"link {ln}: queue_count must be in 1..{N_QUEUES}")
         if ln.prop_delay_ns < 0 or ln.proc_delay_ns < 0:
             defects.append(f"link {ln}: negative delay")
-        for end in ln.key:
+        for end in key:
             if end not in kinds:
                 defects.append(f"link {ln}: unknown node {end}")
 
@@ -290,12 +321,18 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if not s.route:
             defects.append(f"stream {s.id}: empty route")
             continue
-        defects += _route_repeats(s)
-        for key in dict.fromkeys(s.route):
-            if key not in seen_links:
+        keys = dict.fromkeys(s.route)
+        if len(keys) != len(s.route):  # every layer keys a hop by (stream, link)
+            repeated = [key for key in keys if s.route.count(key) > 1]
+            defects += [f"stream {s.id}: route uses link {a}->{b} more than once" for a, b in repeated]
+        # symbols are worked out once per stream and once per link, not per hop
+        stream_sym = _sym(s.id)
+        for key in keys:
+            if key not in link_stems:
                 defects.append(f"stream {s.id}: route uses unknown link {key[0]}->{key[1]}")
+                continue
             hop = f"{s.id}@{key[0]}->{key[1]}"
-            other = stems.setdefault(_var_stem(s.id, key), hop)
+            other = stems.setdefault(stream_sym + link_stems[key], hop)
             if other != hop:
                 defects.append(f"stream {s.id}: {hop} and {other} sanitize to one solver symbol")
         for a, b in zip(s.route, s.route[1:]):
@@ -354,41 +391,74 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _entries(doc: dict, key: str, make: Callable[[dict], object]) -> tuple:
+    """``make`` of each entry of the document's ``key`` list.  A missing
+    key, a value of the wrong JSON type, or a route hop that is not a pair
+    raises :class:`InvalidInputError` naming it and its entry."""
+    if key not in doc:
+        raise InvalidInputError(f"invalid scenario document: missing key {key!r}")
+    out = []
+    for i, item in enumerate(_list(doc[key], f"invalid scenario document: {key}")):
+        where = f"invalid scenario document: {key}[{i}]"
+        if not isinstance(item, dict):
+            raise InvalidInputError(f"{where} is not an object")
+        try:
+            out.append(make(item))
+        except KeyError as err:
+            raise InvalidInputError(f"{where}: missing key {err}") from None
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{where}: {err}") from None
+    return tuple(out)
+
+
+def _list(value, what: str) -> list | tuple:
+    """``value``, a JSON list (or a tuple, in a document built in code)."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _hop(hop) -> tuple[str, str]:
+    if not isinstance(hop, (list, tuple)) or len(hop) != 2:
+        raise InvalidInputError(f"route hop {hop!r} is not a [src, dst] pair")
+    return hop[0], hop[1]
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a JSON document; raises :class:`InvalidInputError`
-    listing every defect :func:`validate_scenario` finds."""
-    scenario = Scenario(
+    on a missing key, a list or object of the wrong JSON type, a route hop
+    that is not a pair, and every defect the scenario's own check finds.
+    Unknown keys are ignored."""
+    return Scenario(
         name=doc.get("name", "scenario"),
-        sync_precision_ns=int(doc.get("sync_precision_ns", 0)),
-        nodes=tuple((n["id"], n["kind"]) for n in doc["nodes"]),
-        links=tuple(
-            Link(
+        sync_precision_ns=doc.get("sync_precision_ns", 0),
+        nodes=_entries(doc, "nodes", lambda n: (n["id"], n["kind"])),
+        links=_entries(
+            doc,
+            "links",
+            lambda ln: Link(
                 src=ln["src"],
                 dst=ln["dst"],
-                rate_bps=int(ln["rate_bps"]),
-                prop_delay_ns=int(ln.get("prop_delay_ns", 0)),
-                proc_delay_ns=int(ln.get("proc_delay_ns", 0)),
-                queue_count=int(ln.get("queue_count", 8)),
-            )
-            for ln in doc["links"]
+                rate_bps=ln["rate_bps"],
+                prop_delay_ns=ln.get("prop_delay_ns", 0),
+                proc_delay_ns=ln.get("proc_delay_ns", 0),
+                queue_count=ln.get("queue_count", 8),
+            ),
         ),
-        streams=tuple(
-            Stream(
+        streams=_entries(
+            doc,
+            "streams",
+            lambda s: Stream(
                 id=s["id"],
-                period_ns=int(s["period_ns"]),
-                payload_min=int(s["payload_min"]),
-                payload_max=int(s["payload_max"]),
-                route=tuple((a, b) for a, b in s["route"]),
-                e2e_deadline_ns=int(s["e2e_deadline_ns"]),
-                jitter_req_ns=int(s["jitter_req_ns"]),
-            )
-            for s in doc["streams"]
+                period_ns=s["period_ns"],
+                payload_min=s["payload_min"],
+                payload_max=s["payload_max"],
+                route=tuple(map(_hop, _list(s["route"], "route"))),
+                e2e_deadline_ns=s["e2e_deadline_ns"],
+                jitter_req_ns=s["jitter_req_ns"],
+            ),
         ),
     )
-    defects = validate_scenario(scenario)
-    if defects:
-        raise InvalidInputError(f"invalid scenario {scenario.name!r}: " + "; ".join(defects))
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -258,6 +258,16 @@ class _Engine:
         self.shaper_discards = 0
         self.in_flight = 0
 
+        # a per-switch egress mode names every switch and nothing else
+        kinds = dict(scenario.nodes)
+        if not isinstance(config.egress_mode, str):
+            switches = {n for n, kind in kinds.items() if kind == "switch"}
+            named = set(config.egress_mode)
+            wrong = [f"no mode for switch {n}" for n in sorted(switches - named)]
+            wrong += [f"{n} is not a switch" for n in sorted(named - switches, key=str)]
+            if wrong:
+                raise InvalidInputError("egress_mode: " + "; ".join(wrong))
+
         ports: dict[LinkKey, _Port] = {}
         for ln in scenario.links:
             gcl = None
@@ -269,7 +279,6 @@ class _Engine:
 
         # fault meters keyed by ingress link; a fault that can never fire
         # is refused rather than ignored
-        kinds = dict(scenario.nodes)
         meters: dict[LinkKey, list] = {}
         for cfg in config.faults:
             where = f"fault at {cfg.switch} on ingress {cfg.ingress[0]}->{cfg.ingress[1]}"

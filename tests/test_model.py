@@ -1,9 +1,9 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ttubs.lstb import lstb_solve
 from ttubs.model import (
     N_QUEUES,
     InvalidInputError,
@@ -18,7 +18,6 @@ from ttubs.model import (
     scenario_to_dict,
     validate_scenario,
 )
-from ttubs.smt import SolveRequest, solve as smt_solve
 
 US = 1_000
 MS = 1_000_000
@@ -131,33 +130,24 @@ def test_validate_adas_ok(adas):
 
 
 def test_validate_detects_broken_route(adas):
-    bad = Scenario(
-        nodes=adas.nodes,
-        links=adas.links,
-        streams=tuple(
-            Stream(
-                s.id, s.period_ns, s.payload_min, s.payload_max,
-                (("AV1", "SW2"), ("SW1", "CentralHost")),  # gap: SW2 != SW1
-                s.e2e_deadline_ns, s.jitter_req_ns,
-            )
-            if s.id == "cam1"
-            else s
-            for s in adas.streams
-        ),
+    streams = tuple(
+        Stream(
+            s.id, s.period_ns, s.payload_min, s.payload_max,
+            (("AV1", "SW2"), ("SW1", "CentralHost")),  # gap: SW2 != SW1
+            s.e2e_deadline_ns, s.jitter_req_ns,
+        )
+        if s.id == "cam1"
+        else s
+        for s in adas.streams
     )
-    defects = validate_scenario(bad)
-    assert any("not a path" in d for d in defects)
+    with pytest.raises(InvalidInputError, match="not a path"):
+        Scenario(nodes=adas.nodes, links=adas.links, streams=streams)
 
 
 def test_validate_detects_bad_rate(adas):
-    bad = Scenario(
-        nodes=adas.nodes,
-        links=tuple(
-            Link(l.src, l.dst, 0) if l.src == "AV1" else l for l in adas.links
-        ),
-        streams=adas.streams,
-    )
-    assert any("rate" in d for d in validate_scenario(bad))
+    links = tuple(Link(l.src, l.dst, 0) if l.src == "AV1" else l for l in adas.links)
+    with pytest.raises(InvalidInputError, match="rate"):
+        Scenario(nodes=adas.nodes, links=links, streams=adas.streams)
 
 
 def test_scenario_json_round_trip(adas):
@@ -175,9 +165,9 @@ def test_validate_rejects_more_queues_than_ports_have():
     nodes = (("A", "end-station"), ("S", "switch"), ("B", "end-station"))
     links = (Link("A", "S", 1_000_000_000), Link("S", "B", 1_000_000_000, queue_count=12))
     stream = Stream("s", 100 * US, 100, 100, (("A", "S"), ("S", "B")), 100 * US, 10 * US)
-    assert any("queue_count" in d for d in validate_scenario(Scenario(nodes, links, (stream,))))
-    ok = (links[0], Link("S", "B", 1_000_000_000, queue_count=N_QUEUES))
-    assert validate_scenario(Scenario(nodes, ok, (stream,))) == []
+    with pytest.raises(InvalidInputError, match="queue_count"):
+        Scenario(nodes, links, (stream,))
+    Scenario(nodes, (links[0], Link("S", "B", 1_000_000_000, queue_count=N_QUEUES)), (stream,))
 
 
 def _set(path, value):
@@ -241,56 +231,110 @@ def test_load_scenario_lists_every_defect(adas, tmp_path):
         load_scenario(path)
 
 
-def _ring_scenario(streams, name="ring"):
-    nodes = (("A", "end-station"), ("S1", "switch"), ("S2", "switch"), ("B", "end-station"))
-    keys = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
-    return Scenario(nodes, tuple(Link(a, b, 1_000_000_000) for a, b in keys), tuple(streams), name=name)
-
-
+RING_NODES = (("A", "end-station"), ("S1", "switch"), ("S2", "switch"), ("B", "end-station"))
+RING_LINKS = tuple(Link(a, b, 1_000_000_000) for a, b in (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B")))
 RING_ROUTE = (("A", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "S2"), ("S2", "S1"), ("S1", "B"))
+LINE_ROUTE = (("A", "S1"), ("S1", "B"))
+
+
+def _ring_stream(sid, route, payload_min=100, period_ns=100 * US):
+    return Stream(sid, period_ns, payload_min, 100, route, 100 * US, 10 * US)
+
+
+def _ring_doc(*streams):
+    """The ring network as a scenario document with the given streams;
+    a document, because these streams make no Scenario to write one from."""
+    doc = scenario_to_dict(Scenario(RING_NODES, RING_LINKS, (), name="ring"))
+    doc["streams"] = [asdict(s) for s in streams]
+    return doc
 
 
 def test_scenario_from_dict_rejects_route_reusing_a_link():
     # no later layer can run this route: lstb overwrites an upstream index
-    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, RING_ROUTE, 100 * US, 10 * US)])
     with pytest.raises(InvalidInputError) as err:
-        scenario_from_dict(scenario_to_dict(sc))
+        scenario_from_dict(_ring_doc(_ring_stream("s", RING_ROUTE)))
     assert str(err.value) == (
         "invalid scenario 'ring': stream s: route uses link S1->S2 more than once; "
         "stream s: route uses link S2->S1 more than once"
     )
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [
-        lambda sc: lstb_solve(sc, "nfic"),
-        lambda sc: lstb_solve(sc, "fic"),
-        lambda sc: smt_solve(SolveRequest(sc, "nfic")),
-        lambda sc: smt_solve(SolveRequest(sc, "wa")),
-    ],
-    ids=["lstb-nfic", "lstb-fic", "smt-nfic", "smt-wa"],
-)
-def test_engines_reject_route_reusing_a_link_built_in_code(engine):
-    # a scenario built in code skips validate_scenario; both engines expand
-    # frames first, which names the repeated links
-    sc = _ring_scenario([Stream("s", 100 * US, 100, 100, RING_ROUTE, 100 * US, 10 * US)])
+def test_scenario_rejects_route_reusing_a_link_built_in_code():
+    # no engine can receive this route: building the scenario refuses it
     with pytest.raises(InvalidInputError) as err:
-        engine(sc)
+        Scenario(RING_NODES, RING_LINKS, (_ring_stream("s", RING_ROUTE),), name="ring")
     assert str(err.value) == (
-        "stream s: route uses link S1->S2 more than once; stream s: route uses link S2->S1 more than once"
+        "invalid scenario 'ring': stream s: route uses link S1->S2 more than once; "
+        "stream s: route uses link S2->S1 more than once"
     )
 
 
 def test_load_scenario_rejects_ids_that_sanitize_to_one_symbol(tmp_path):
     # "s-1" and "s_1" both sanitize to s_1, so their variables share names
-    route = (("A", "S1"), ("S1", "B"))
-    sc = _ring_scenario([Stream(sid, 100 * US, 100, 100, route, 100 * US, 10 * US) for sid in ("s-1", "s_1")])
     path = tmp_path / "collide.json"
-    path.write_text(json.dumps(scenario_to_dict(sc)))
+    path.write_text(json.dumps(_ring_doc(_ring_stream("s-1", LINE_ROUTE), _ring_stream("s_1", LINE_ROUTE))))
     with pytest.raises(InvalidInputError) as err:
         load_scenario(path)
     assert str(err.value) == (
         "invalid scenario 'ring': stream s_1: s_1@A->S1 and s-1@A->S1 sanitize to one solver symbol; "
         "stream s_1: s_1@S1->B and s-1@S1->B sanitize to one solver symbol"
     )
+
+
+# scenarios built in code that got past every check before the scenario
+# checked itself; each now fails at construction with the defect named
+CONSTRUCTION_DEFECTS = {
+    # lstb gave sat, and both egress modes delivered frames before their send
+    "link S1->B: negative delay": (
+        RING_LINKS[:3] + (Link("S1", "B", 1_000_000_000, prop_delay_ns=-5_000),),
+        _ring_stream("s", LINE_ROUTE),
+    ),
+    # lstb gave sat, and both egress modes delivered every frame
+    "stream s: route not a path at S1/S2": (RING_LINKS, _ring_stream("s", (("A", "S1"), ("S2", "S1"), ("S1", "B")))),
+    # the simulator's payload draw raised ValueError at the first send
+    "stream s: payload bounds must satisfy 0 < min <= max <= 1500": (RING_LINKS, _ring_stream("s", LINE_ROUTE, 200)),
+    # replayed with no error
+    "stream s: talker S1 is not an end-station": (RING_LINKS, _ring_stream("s", (("S1", "B"),))),
+    "stream s: period_ns must be an integer": (RING_LINKS, _ring_stream("s", LINE_ROUTE, period_ns=100_000.7)),
+}
+
+
+@pytest.mark.parametrize("defect", CONSTRUCTION_DEFECTS)
+def test_scenario_built_in_code_rejects_each_defect(defect):
+    links, stream = CONSTRUCTION_DEFECTS[defect]
+    with pytest.raises(InvalidInputError) as err:
+        Scenario(RING_NODES, links, (stream,), name="ring")
+    assert str(err.value) == f"invalid scenario 'ring': {defect}"
+
+
+# one malformed ADAS document per shape the loader used to cast, crash on
+# or take
+DOCUMENT_DEFECTS = {
+    "invalid scenario 'adas_star': stream cam1: period_ns must be an integer": _set(
+        ("streams", 0, "period_ns"), 100_000.7
+    ),
+    "invalid scenario 'adas_star': stream cam1: payload_min must be an integer": _set(
+        ("streams", 0, "payload_min"), True
+    ),
+    "invalid scenario 'adas_star': link AV1->SW2: rate_bps must be an integer": _set(
+        ("links", 0, "rate_bps"), "1000000000"
+    ),
+    "invalid scenario 'adas_star': sync_precision_ns must be an integer": _set(("sync_precision_ns",), "fast"),
+    "invalid scenario 'adas_star': id 5 is not a string": _set(("streams", 0, "id"), 5),
+    "invalid scenario document: missing key 'links'": lambda doc: doc.pop("links"),
+    "invalid scenario document: streams[0]: missing key 'id'": lambda doc: doc["streams"][0].pop("id"),
+    "invalid scenario document: nodes[0] is not an object": _set(("nodes", 0), "AV1"),
+    "invalid scenario document: streams[0]: route None is not a list": _set(("streams", 0, "route"), None),
+    "invalid scenario document: streams[0]: route hop ['AV1', 'SW2', 'SW1'] is not a [src, dst] pair": _set(
+        ("streams", 0, "route", 0), ["AV1", "SW2", "SW1"]
+    ),
+}
+
+
+@pytest.mark.parametrize("error", DOCUMENT_DEFECTS)
+def test_scenario_from_dict_rejects_each_malformed_document(adas, error):
+    doc = scenario_to_dict(adas)
+    DOCUMENT_DEFECTS[error](doc)
+    with pytest.raises(InvalidInputError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == error

@@ -257,6 +257,20 @@ def test_per_switch_modes(adas, dep3):
     assert rep.metrics["cam1"].delivered > 0
 
 
+@pytest.mark.parametrize(
+    "modes,error",
+    [
+        ({"SW1": "tas"}, "egress_mode: no mode for switch SW2"),
+        ({"SW1": "tas", "SW2": "ttubs", "SW9": "tas"}, "egress_mode: SW9 is not a switch"),
+    ],
+    ids=["switch-missing", "not-a-switch"],
+)
+def test_per_switch_modes_name_exactly_the_switches(adas, dep3, modes, error):
+    with pytest.raises(InvalidInputError) as err:
+        run(SimConfig(adas, dep3, modes, rng_seed=3, sim_duration_ns=SHORT))
+    assert str(err.value) == error
+
+
 def test_duration_shorter_than_cycle_rejected(adas, dep3):
     with pytest.raises(InvalidInputError):
         run(SimConfig(adas, dep3, "ttubs", rng_seed=1, sim_duration_ns=100_000))
