@@ -203,13 +203,20 @@ _STREAM_INTS = ("period_ns", "payload_min", "payload_max", "e2e_deadline_ns", "j
 
 
 def _type_defects(scenario: Scenario) -> list[str]:
-    """Each id that is not a ``str`` and each count that is not an ``int``.
-    A ``bool`` is an ``int`` subclass to Python but no count of
-    nanoseconds, bits or bytes, so the type must be ``int`` itself."""
+    """Each route hop that is not a pair, each id that is not a ``str`` and
+    each count that is not an ``int``.  A ``bool`` is an ``int`` subclass to
+    Python but no count of nanoseconds, bits or bytes, so the type must be
+    ``int`` itself."""
+    hops = [(s, hop) for s in scenario.streams for hop in s.route]
+    out = [
+        f"stream {s.id}: route hop {hop!r} is not a pair"
+        for s, hop in hops
+        if type(hop) is not tuple or len(hop) != 2
+    ]
     ids = [n for n, _ in scenario.nodes] + [s.id for s in scenario.streams]
     ids += [end for ln in scenario.links for end in ln.key]
-    ids += [end for s in scenario.streams for hop in s.route for end in hop]
-    out = [f"id {i} is not a string" for i in dict.fromkeys(repr(i) for i in ids if type(i) is not str)]
+    ids += [end for _, hop in hops if type(hop) is tuple for end in hop]
+    out += [f"id {i} is not a string" for i in dict.fromkeys(repr(i) for i in ids if type(i) is not str)]
     out += [
         f"link {ln}: {f} must be an integer"
         for ln in scenario.links
@@ -429,6 +436,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     on a missing key, a list or object of the wrong JSON type, a route hop
     that is not a pair, and every defect the scenario's own check finds.
     Unknown keys are ignored."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"invalid scenario document: {type(doc).__name__} is not an object")
     return Scenario(
         name=doc.get("name", "scenario"),
         sync_precision_ns=doc.get("sync_precision_ns", 0),

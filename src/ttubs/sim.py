@@ -36,20 +36,22 @@ unaffected.
 Everything is integer nanoseconds and rng-seeded; identical configs give
 byte-identical traces.  Payloads are drawn uniformly per frame; a stream
 whose range is one value draws nothing from the generator.  Writing a
-trace changes no event and no metric.  Event ordering at equal times:
-shaper releases, then link arrivals, then meter releases, then
-transmission retries, then talker sends.
+trace changes no event and no metric.
 
-A port's wakes are its transmission retries.  A frame that starts on a
-gated port wakes the port when its last bit leaves (``busy_until``), so
-equal-time gate retries keep their order.  On an ungated port with nothing
-queued that wake would find the port idle and empty, so it is not pushed:
-the port keeps the wake's sequence number, and a frame that comes while
-the port is busy pushes the wake with it.  Events then run in the order
-of a wake at every start, but for one case: after a start at the instant
-the port fell idle, the number is drawn at that start rather than by the
-idle wake, so the wake can run ahead of another port's equal-time wake
-drawn in between.
+Events at one instant run in a fixed order: by phase (link arrivals,
+shaper releases, meter releases, transmission retries, talker sends), then
+by a rank fixed by what the event belongs to: the port an arrival comes
+over or a retry is for (its link's index in the scenario), the shaped
+queue, the fault or the stream.  No event's place depends on when it was
+pushed, so an event that changes nothing moves no other.  As arrivals come
+first, a frame that arrives at the instant its shaped queue would release
+an older held frame displaces that frame rather than following it out.
+
+A port's wakes are its transmission retries.  After a start the port is
+woken when its last bit leaves (``busy_until``) only if a queue still
+holds a frame, and a frame that comes while the port is busy pushes that
+wake.  A port has at most one wake pending (``next_wake``); a wake that an
+earlier one replaced does nothing when it comes.
 
 A gated port asks its gate list (``next_fit_start``) when its head frame
 can start.  The frame keeps the answer as its known fit ``f``, and a port
@@ -65,7 +67,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import count
 
 import numpy as np
 
@@ -86,8 +87,8 @@ __all__ = [
 LinkKey = tuple[str, str]
 
 # event phases at equal timestamps
-PH_SHAPER = 0
-PH_ARRIVAL = 1
+PH_ARRIVAL = 0
+PH_SHAPER = 1
 PH_METER = 2
 PH_SERVICE = 3
 PH_SEND = 4
@@ -209,9 +210,10 @@ class _Frame:
 
 
 class _ShapedQueue:
-    __slots__ = ("held", "epoch", "offsets", "cycle", "period")
+    __slots__ = ("rank", "held", "epoch", "offsets", "cycle", "period")
 
-    def __init__(self, offsets, cycle, period):
+    def __init__(self, rank, offsets, cycle, period):
+        self.rank = rank  # its index among the engine's shaped queues
         self.held: _Frame | None = None
         self.epoch = 0
         self.offsets = offsets
@@ -220,9 +222,10 @@ class _ShapedQueue:
 
 
 class _Port:
-    __slots__ = ("link", "rate", "lag", "busy_until", "queues", "used", "gcl", "next_wake", "wake_seq")
+    __slots__ = ("rank", "link", "rate", "lag", "busy_until", "queues", "used", "gcl", "next_wake")
 
-    def __init__(self, link, rate, lag, gcl):
+    def __init__(self, rank, link, rate, lag, gcl):
+        self.rank = rank  # its link's index in the scenario
         self.link = link
         self.rate = rate
         self.lag = lag  # last bit sent to frame held at the far end: propagation + processing
@@ -231,7 +234,6 @@ class _Port:
         self.used: tuple[int, ...] = ()  # queues the port's streams use, highest first
         self.gcl = gcl  # set only where a ``tas`` switch gates the port
         self.next_wake: int | None = None
-        self.wake_seq: int | None = None  # kept for a busy_until wake not pushed
 
 
 def _with_wire_times(hops, payload: int) -> tuple:
@@ -251,7 +253,6 @@ class _Engine:
             raise InvalidInputError("simulation shorter than one hyper-period")
 
         self.heap: list = []
-        self.seq = count(1)
         self.rng = np.random.default_rng(config.rng_seed)
 
         self.metrics = [StreamMetrics() for _ in self.streams]  # by stream index
@@ -269,18 +270,18 @@ class _Engine:
                 raise InvalidInputError("egress_mode: " + "; ".join(wrong))
 
         ports: dict[LinkKey, _Port] = {}
-        for ln in scenario.links:
+        for rank, ln in enumerate(scenario.links):
             gcl = None
             if scenario.is_switch_egress(ln.key) and config.mode_of(ln.src) == "tas":
                 gcl = dep.gcls.get(ln.key)
                 if gcl is None and scenario.streams_on_link(ln.key):
                     raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
-            ports[ln.key] = _Port(ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
+            ports[ln.key] = _Port(rank, ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
 
         # fault meters keyed by ingress link; a fault that can never fire
         # is refused rather than ignored
         meters: dict[LinkKey, list] = {}
-        for cfg in config.faults:
+        for rank, cfg in enumerate(config.faults):
             where = f"fault at {cfg.switch} on ingress {cfg.ingress[0]}->{cfg.ingress[1]}"
             if cfg.ingress not in ports or kinds.get(cfg.ingress[1]) != "switch":
                 raise InvalidInputError(f"{where}: not a link of the scenario into a switch")
@@ -288,7 +289,7 @@ class _Engine:
                 raise InvalidInputError(f"{where}: the link ends at {cfg.ingress[1]}")
             if not any(cfg.match_stream in (None, s.id) for s in scenario.streams_on_link(cfg.ingress)):
                 raise InvalidInputError(f"{where}: no stream it matches crosses the link")
-            meters.setdefault(cfg.ingress, []).append([MeterState(cfg), []])
+            meters.setdefault(cfg.ingress, []).append((rank, MeterState(cfg), []))
 
         # per stream, one (egress port, shared queue, shaped queue or None,
         # meters at the link's far end) per route hop; end-station egress
@@ -298,6 +299,7 @@ class _Engine:
         # time added: (port, queue, shaped, wire time, meters); None for a
         # stream of variable size, whose frames each get their own
         self.plans: list[tuple | None] = []
+        shaped_count = 0
         for s in self.streams:
             hops = []
             for key in s.route:
@@ -307,7 +309,8 @@ class _Engine:
                     queue = dep.queues[(s.id, key)]
                     if config.mode_of(key[0]) == "ttubs":
                         row = dep.table.row_for(s.id, key)
-                        shaped = _ShapedQueue(row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
+                        shaped = _ShapedQueue(shaped_count, row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
+                        shaped_count += 1
                 if queue not in port.used:
                     port.used = tuple(sorted((*port.used, queue), reverse=True))
                 hops.append((port, queue, shaped, tuple(meters.get(key, ()))))
@@ -318,7 +321,7 @@ class _Engine:
         for i, s in enumerate(self.streams):
             for slot, t0 in enumerate(dep.table.row_for(s.id, s.route[0]).eligibility_offsets_ns):
                 if t0 < config.sim_duration_ns:
-                    self.push(t0, PH_SEND, (i, slot))
+                    self.push(t0, PH_SEND, i, (i, slot))
 
         # opened last, so a rejected config leaves no file open
         self.trace = open(trace_path, "w") if trace_path else None
@@ -326,8 +329,8 @@ class _Engine:
             self.trace.write("time_ns,node,event,stream,slot,disposition\n")
 
     # ------------------------------------------------------------------
-    def push(self, t, phase, data):
-        heappush(self.heap, (t, phase, next(self.seq), data))
+    def push(self, t, phase, rank, data):
+        heappush(self.heap, (t, phase, rank, data))
 
     def emit(self, t, node, event, stream_idx, slot, disposition=""):
         self.trace.write(f"{t},{node},{event},{self.streams[stream_idx].id},{slot},{disposition}\n")
@@ -344,7 +347,7 @@ class _Engine:
     def run(self):
         # indexed by phase; a local, so the engine holds no bound method of
         # itself and is freed as soon as it is dropped
-        handlers = (self.on_shaper_release, self.on_arrival, self.on_meter_release, self.on_service, self.on_send)
+        handlers = (self.on_arrival, self.on_shaper_release, self.on_meter_release, self.on_service, self.on_send)
         heap = self.heap
         while heap:
             t, phase, _, data = heappop(heap)
@@ -368,7 +371,7 @@ class _Engine:
             self.emit(t, s.talker, "send", i, slot)
         nxt = t + self.cycle
         if nxt < self.config.sim_duration_ns:
-            self.push(nxt, PH_SEND, data)
+            self.push(nxt, PH_SEND, i, data)
         self.to_egress(t, _Frame(i, slot, payload, t, plan))
 
     def on_arrival(self, t, frame: _Frame):
@@ -381,7 +384,7 @@ class _Engine:
         if self.trace:
             self.emit(t, node, "arrive", frame.stream_idx, frame.slot)
         for entry in meters:
-            state, pending = entry
+            rank, state, pending = entry
             action = state.decide(self.streams[frame.stream_idx].id, t)
             if action == "drop":
                 self.drop(t, node, frame, "attack_dropped", "meter_drop")
@@ -391,7 +394,7 @@ class _Engine:
                 pending.append(frame)
                 if self.trace:
                     self.emit(t, node, "meter_capture", frame.stream_idx, frame.slot)
-                self.push(t + state.config.delay_time_ns, PH_METER, entry)
+                self.push(t + state.config.delay_time_ns, PH_METER, rank, entry)
                 return
             if action == "queue":
                 pending.append(frame)
@@ -401,7 +404,7 @@ class _Engine:
         self.to_egress(t, frame)
 
     def on_meter_release(self, t, entry):
-        state, pending = entry
+        _, state, pending = entry
         state.holding = False
         frames, pending[:] = list(pending), []
         for frame in frames:
@@ -437,7 +440,7 @@ class _Engine:
         sq.held = frame
         if self.trace:
             self.emit(t, node, "shaper_hold", frame.stream_idx, frame.slot)
-        self.push(release, PH_SHAPER, (sq, sq.epoch))
+        self.push(release, PH_SHAPER, sq.rank, (sq, sq.epoch))
 
     def on_shaper_release(self, t, data):
         sq, epoch = data
@@ -456,23 +459,16 @@ class _Engine:
     def wake(self, port: _Port, t: int):
         if port.next_wake is None or t < port.next_wake:
             port.next_wake = t
-            self.push(t, PH_SERVICE, port)
+            self.push(t, PH_SERVICE, port.rank, port)
 
     def on_service(self, t, port: _Port):
-        if port.next_wake is not None and t >= port.next_wake:
+        if port.next_wake == t:  # else an earlier wake replaced this one, or it has run
             port.next_wake = None
-        self.service(t, port)
+            self.service(t, port)
 
     def service(self, t, port: _Port):
         if port.busy_until > t:
-            if port.wake_seq is None:
-                self.wake(port, port.busy_until)
-            else:
-                # a frame came while busy: push the wake tx_start kept back,
-                # in the place it kept
-                port.next_wake = port.busy_until
-                heappush(self.heap, (port.busy_until, PH_SERVICE, port.wake_seq, port))
-                port.wake_seq = None
+            self.wake(port, port.busy_until)
             return
         gcl = port.gcl
         best_retry: int | None = None
@@ -489,18 +485,12 @@ class _Engine:
                     port.busy_until = t + head.dur
                     if self.trace:
                         self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
-                    self.push(port.busy_until + port.lag, PH_ARRIVAL, head)
-                    if gcl is None and not dq and port.next_wake is None and (
-                        q == port.used[-1] or not any(port.queues[r] for r in port.used)
+                    self.push(port.busy_until + port.lag, PH_ARRIVAL, port.rank, head)
+                    # a queue still holds a frame: this one, one above whose
+                    # head waits for its gate, or one below
+                    if dq or best_retry is not None or (
+                        q != port.used[-1] and any(port.queues[r] for r in port.used)
                     ):
-                        # an ungated port with nothing queued (its queues
-                        # above q were empty, or q would not be served) and
-                        # no wake pending needs its busy_until wake only if
-                        # a frame comes while it is busy: keep the wake's
-                        # sequence number, push nothing
-                        port.wake_seq = next(self.seq)
-                    else:
-                        port.wake_seq = None
                         self.wake(port, port.busy_until)
                     return
                 if start is None:

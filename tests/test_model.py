@@ -296,6 +296,8 @@ CONSTRUCTION_DEFECTS = {
     # replayed with no error
     "stream s: talker S1 is not an end-station": (RING_LINKS, _ring_stream("s", (("S1", "B"),))),
     "stream s: period_ns must be an integer": (RING_LINKS, _ring_stream("s", LINE_ROUTE, period_ns=100_000.7)),
+    # the check itself raised IndexError naming the hop's missing end
+    "stream s: route hop ('A',) is not a pair": (RING_LINKS, _ring_stream("s", (("A",),))),
 }
 
 
@@ -338,3 +340,11 @@ def test_scenario_from_dict_rejects_each_malformed_document(adas, error):
     with pytest.raises(InvalidInputError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == error
+
+
+@pytest.mark.parametrize("doc", [[], "adas_star", None], ids=["list", "str", "null"])
+def test_scenario_from_dict_rejects_a_document_that_is_not_an_object(doc):
+    # a list raised AttributeError from doc.get
+    with pytest.raises(InvalidInputError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"invalid scenario document: {type(doc).__name__} is not an object"

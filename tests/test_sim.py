@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from ttubs.artifacts import GateControlList, GclInterval, ShaperOffsetTable, build_deployment, e2e_per_slot
 from ttubs.fixtures import VALIDATION_MODES, adas_scenario, fixture_schedule
-from ttubs.harness import ChainSpec, gen_chain, replay, replay_fixture, table5_delay, table5_drop
+from ttubs.harness import ChainSpec, fault_preset, gen_chain, replay, replay_fixture, table5_delay, table5_drop
 from ttubs.lstb import LstbLimits, lstb_solve
 from ttubs.model import InvalidInputError, Link, Scenario, Stream
 from ttubs.schedule import Schedule
@@ -337,7 +337,7 @@ class _WakeAtEveryTxStart(_Engine):
                     port.busy_until = t + head.dur
                     if self.trace:
                         self.emit(t, port.link[0], "tx_start", head.stream_idx, head.slot)
-                    self.push(port.busy_until + port.lag, PH_ARRIVAL, head)
+                    self.push(port.busy_until + port.lag, PH_ARRIVAL, port.rank, head)
                     self.wake(port, port.busy_until)
                     return
                 if start is None:
@@ -404,17 +404,17 @@ def trace_dir(tmp_path_factory):
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(_replay_configs())
 def test_wake_rule_matches_always_wake_oracle(trace_dir, config):
-    """On deployed schedules, with or without faults, skipping an idle
-    ungated port's wake, or the gate query at a head's known fit, moves no
-    event: the trace is byte-identical to the oracle's."""
+    """On deployed schedules, with or without faults, skipping a port's wake
+    while no queue holds a frame, or the gate query at a head's known fit,
+    moves no event: the trace is byte-identical to the oracle's."""
     assert _trace(config, trace_dir / "run.csv") == _oracle_trace(config, trace_dir / "oracle.csv")
 
 
 def test_frame_behind_busy_ungated_port_keeps_wake_order(tmp_path):
     # two talkers each start a frame at 0 and queue a second one while the
     # first is on the wire (d at 100 ns, b at 200 ns): their wakes at 976 ns
-    # must run in the order of the first frames' starts (T1 before T2), not
-    # in the order the second frames came, or b and d swap at S
+    # run in port rank order (T1->S before T2->S), not in the order the
+    # second frames came, or b and d swap at S
     route = {"T1": (("T1", "S"), ("S", "L")), "T2": (("T2", "S"), ("S", "L"))}
     talker = {"a": "T1", "b": "T1", "c": "T2", "d": "T2"}
     sc = Scenario(
@@ -494,25 +494,28 @@ def test_tas_never_asks_the_gate_at_a_known_fit(tmp_path, case):
 
 
 def _wake_counting(monkeypatch):
-    ports = []
+    """Records, for each service event, its port and whether the event finds
+    that port idle with every queue empty."""
+    wakes = []
     on_service = _Engine.on_service
 
     def counted(self, t, port):
-        ports.append(port)
+        wakes.append((port, port.busy_until <= t and not any(port.queues)))
         on_service(self, t, port)
 
     monkeypatch.setattr(_Engine, "on_service", counted)
-    return ports
+    return wakes
 
 
 @pytest.mark.parametrize("case", ["chain-3x10", "chain-5x30", "table3", "table6", "table8"])
 def test_no_wake_for_ungated_ports_without_faults(monkeypatch, case):
     """On a validated deployment with no fault, no frame reaches an ungated
     port while it is busy, so no wake ever runs there: none under ``ttubs``,
-    and under ``tas`` only on gated switch ports."""
-    ports = _wake_counting(monkeypatch)
+    and under ``tas`` only on gated switch ports.  No wake finds its port
+    idle with every queue empty."""
+    wakes = _wake_counting(monkeypatch)
     for egress in ("ttubs", "tas"):
-        ports.clear()
+        wakes.clear()
         if case.startswith("chain"):
             switches, streams = map(int, case.split("-")[1].split("x"))
             sc = gen_chain(ChainSpec(switches, streams, rng_seed=1))
@@ -522,10 +525,44 @@ def test_no_wake_for_ungated_ports_without_faults(monkeypatch, case):
         else:
             rep = replay_fixture(case, egress, (), 1, 100_000_000)
         assert rep.validation_ok
+        assert not any(idle for _, idle in wakes)
         if egress == "ttubs":
-            assert ports == []
+            assert wakes == []
         else:
-            assert ports and all(p.gcl is not None for p in ports)
+            assert wakes and all(p.gcl is not None for p, _ in wakes)
+
+
+@pytest.mark.parametrize("fault", ["loss", "timeout-long"])
+@pytest.mark.parametrize("name", ["table3", "table8"])
+def test_no_wake_finds_its_port_idle_and_empty(monkeypatch, name, fault):
+    """With faults too, a port is woken only while a queue holds a frame."""
+    wakes = _wake_counting(monkeypatch)
+    for egress in ("ttubs", "tas"):
+        wakes.clear()
+        replay_fixture(name, egress, fault_preset(fault), 1, 100_000_000)
+        assert not any(idle for _, idle in wakes)
+        assert wakes or egress == "ttubs"
+
+
+def test_on_time_frame_displaces_late_held_frame():
+    """s13's slot-1 frame, delayed about one period at SW1's ingress, is held
+    to slot 0's eligibility in the next cycle, 20,009,952 ns, the instant
+    s13's own slot-0 frame arrives there.  The arrival runs first and
+    displaces the held frame, so SW1->ES1_2 carries one s13 frame in that
+    slot and no stream without the fault moves.  Releasing the held frame
+    first sent both, and s15, s19, s24 and s37 each started one wire time
+    (6,576 ns) late."""
+    sc = gen_chain(ChainSpec(1, 49, rng_seed=532084))
+    res = lstb_solve(sc, "nfic", LstbLimits())
+    assert res.status == "sat"
+    dep = build_deployment(sc, res.schedule)
+    delay = AttackConfig("SW1", ("ES1_1", "SW1"), "delay", 2_343_959, 1, 9_997_184, match_stream="s13")
+    duration = 3 * sc.hyper_period_ns
+    clean = run(SimConfig(sc, dep, "ttubs", (), 1, duration)).metrics
+    faulted = run(SimConfig(sc, dep, "ttubs", (delay,), 1, duration)).metrics
+    moved = [s for s in clean if (clean[s].frames, clean[s].drops) != (faulted[s].frames, faulted[s].drops)]
+    assert moved == ["s13"]
+    assert {c: n for c, n in faulted["s13"].drops.items() if n} == {"displaced": 1}
 
 
 @pytest.mark.parametrize(
