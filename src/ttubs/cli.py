@@ -38,7 +38,7 @@ from .smt import SolveRequest, solve
 
 def _parse_attack(text: str) -> AttackConfig:
     """type,switch,src>dst,start_us,count[,delay_us][,stream] — attack type
-    1/drop discards, 2/delay holds for delay_us."""
+    1/drop discards, 2/delay holds for delay_us; switch must be dst."""
     parts = text.split(",")
     if len(parts) < 5:
         raise argparse.ArgumentTypeError(
@@ -48,6 +48,8 @@ def _parse_attack(text: str) -> AttackConfig:
     if kind is None:
         raise argparse.ArgumentTypeError(f"unknown attack type {parts[0]!r}")
     src, _, dst = parts[2].partition(">")
+    if parts[1] != dst:
+        raise argparse.ArgumentTypeError(f"switch {parts[1]} is not the far end of ingress {src}->{dst}")
     delay_us = float(parts[5]) if kind == "delay" and len(parts) > 5 else 0.0
     stream = None
     if kind == "delay" and len(parts) > 6:
@@ -55,7 +57,6 @@ def _parse_attack(text: str) -> AttackConfig:
     elif kind == "drop" and len(parts) > 5:
         stream = parts[5]
     return AttackConfig(
-        switch=parts[1],
         ingress=(src, dst),
         attack_type=kind,
         startup_time_ns=int(float(parts[3]) * 1000),

@@ -217,13 +217,13 @@ def run_solver_study(plan: ExperimentPlan) -> list[dict]:
 
 def table5_drop() -> AttackConfig:
     """Frame-loss fault: drop one camera-2 frame received at or after 21 us."""
-    return AttackConfig("SW2", ("AV2", "SW2"), "drop", 21_000, 1, match_stream="cam2")
+    return AttackConfig(("AV2", "SW2"), "drop", 21_000, 1, match_stream="cam2")
 
 
 def table5_delay(delay_ns: int = 10_000) -> AttackConfig:
     """Frame-timeout fault: hold one camera-2 frame at the inter-switch
     ingress for the given time."""
-    return AttackConfig("SW1", ("SW2", "SW1"), "delay", 21_000, 1, delay_ns, match_stream="cam2")
+    return AttackConfig(("SW2", "SW1"), "delay", 21_000, 1, delay_ns, match_stream="cam2")
 
 
 # the Table 5 fault cases of the bundled ADAS fixture, by preset name
@@ -252,9 +252,11 @@ class ReplayReport:
     egress_mode: str | dict[str, str]
     violations: list[GroundConstraint]
     metrics: dict[str, StreamMetrics] = field(default_factory=dict)
-    shaper_discards: int = 0
     partial_fill: list = field(default_factory=list)
-    trace_path: str | None = None
+
+    @property
+    def shaper_discards(self) -> int:
+        return sum(m.shaper_discards for m in self.metrics.values())
 
     @property
     def validation_ok(self) -> bool:
@@ -291,7 +293,7 @@ def replay(
         SimConfig(scenario, dep, egress_mode, tuple(faults), rng_seed, sim_duration_ns),
         trace_path=trace_path,
     )
-    return ReplayReport(scenario.name, egress_mode, [], rep.metrics, rep.shaper_discards, trace_path=trace_path)
+    return ReplayReport(scenario.name, egress_mode, [], rep.metrics)
 
 
 def replay_fixture(

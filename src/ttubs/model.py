@@ -398,15 +398,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _entries(doc: dict, key: str, make: Callable[[dict], object]) -> tuple:
-    """``make`` of each entry of the document's ``key`` list.  A missing
-    key, a value of the wrong JSON type, or a route hop that is not a pair
-    raises :class:`InvalidInputError` naming it and its entry."""
+def _entries(doc: dict, key: str, make: Callable[[dict], object], kind: str = "scenario") -> tuple:
+    """``make`` of each entry of the ``kind`` document's ``key`` list.  A
+    missing key, a value of the wrong JSON type, or a route hop that is not
+    a pair raises :class:`InvalidInputError` naming it and its entry."""
     if key not in doc:
-        raise InvalidInputError(f"invalid scenario document: missing key {key!r}")
+        raise InvalidInputError(f"invalid {kind} document: missing key {key!r}")
     out = []
-    for i, item in enumerate(_list(doc[key], f"invalid scenario document: {key}")):
-        where = f"invalid scenario document: {key}[{i}]"
+    for i, item in enumerate(_list(doc[key], f"invalid {kind} document: {key}")):
+        where = f"invalid {kind} document: {key}[{i}]"
         if not isinstance(item, dict):
             raise InvalidInputError(f"{where} is not an object")
         try:
@@ -425,9 +425,9 @@ def _list(value, what: str) -> list | tuple:
     return value
 
 
-def _hop(hop) -> tuple[str, str]:
+def _hop(hop, what: str = "route hop") -> tuple[str, str]:
     if not isinstance(hop, (list, tuple)) or len(hop) != 2:
-        raise InvalidInputError(f"route hop {hop!r} is not a [src, dst] pair")
+        raise InvalidInputError(f"{what} {hop!r} is not a [src, dst] pair")
     return hop[0], hop[1]
 
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import InvalidInputError, ns_to_us_str
+from .model import InvalidInputError, _entries, _hop, ns_to_us_str
 
 NFIC_QUEUE = 4  # the paper's shared queue when isolation is disabled
 
@@ -68,12 +68,33 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Schedule":
+        """The schedule of a JSON document; raises :class:`InvalidInputError`
+        naming the entry on a missing key, a value of the wrong JSON type
+        (a count must be an ``int``) and a repeated row.  ``queues`` may be
+        left out; unknown keys are ignored."""
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"invalid schedule document: {type(doc).__name__} is not an object")
         sched = cls()
-        for row in doc["offsets"]:
-            sched.offsets[(row["stream"], tuple(row["link"]), int(row["slot"]))] = int(row["offset_ns"])
-        for row in doc.get("queues", []):
-            sched.queues[(row["stream"], tuple(row["link"]))] = int(row["queue"])
+
+        def put(rows: dict, row: dict, value: str, *counts: str) -> None:
+            link = tuple(_typed(end, "node", str) for end in _hop(row["link"], "link"))
+            key = (_typed(row["stream"], "stream", str), link, *(_typed(row[c], c, int) for c in counts))
+            if key in rows:
+                raise InvalidInputError(f"repeats row {key!r}")
+            rows[key] = _typed(row[value], value, int)
+
+        _entries(doc, "offsets", lambda row: put(sched.offsets, row, "offset_ns", "slot"), "schedule")
+        if "queues" in doc:
+            _entries(doc, "queues", lambda row: put(sched.queues, row, "queue"), "schedule")
         return sched
+
+
+def _typed(value, what: str, kind: type):
+    """``value`` if its type is ``kind`` itself: a ``bool`` is no count, and
+    nothing is cast."""
+    if type(value) is not kind:
+        raise InvalidInputError(f"{what} {value!r} is not {'an integer' if kind is int else 'a string'}")
+    return value
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:

@@ -33,6 +33,15 @@ can drop or delay designated frames.  A delayed frame holds back later
 frames of its own chain (released in order with it), other chains are
 unaffected.
 
+Building a :class:`SimConfig` refuses, before any run starts, an unknown
+egress mode or a mode dict that does not name exactly the switches, a
+seed or duration that is not an ``int``, a run shorter than one
+hyper-period, a switch egress hop without a queue in ``0..queue_count-1``,
+a ``tas`` port with a stream but no gate list, a missing talker or
+``ttubs`` shaper row, and a fault that can never fire (its ingress is no
+scenario link into a switch that a matched stream crosses).  The engine
+checks nothing.
+
 Everything is integer nanoseconds and rng-seeded; identical configs give
 byte-identical traces.  Payloads are drawn uniformly per frame; a stream
 whose range is one value draws nothing from the generator.  Writing a
@@ -98,16 +107,14 @@ DROP_CAUSES = ("attack_dropped", "timeout_discarded", "displaced", "stranded")
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Fault injection bound to one ingress filter chain of a switch.
+    """Fault injection bound to one ingress filter chain of switch ``ingress[1]``.
 
     ``attack_type`` 'drop' discards, 'delay' holds frames for
     ``delay_time_ns`` (the command line also takes 1 and 2 for them).  The first ``frame_count`` matching frames fully
     received at or after ``startup_time_ns`` are acted on.  ``match_stream``
     narrows the chain to one stream; None matches every stream on the
-    ingress.  ``run`` refuses a fault that can never fire: ``ingress`` must
-    be a link into ``switch`` that a matched stream crosses."""
+    ingress.  The times and the count are ``int``s."""
 
-    switch: str
     ingress: LinkKey
     attack_type: str  # "drop" | "delay"
     startup_time_ns: int
@@ -116,14 +123,19 @@ class AttackConfig:
     match_stream: str | None = None
 
     def __post_init__(self):
+        if any(type(n) is not int for n in (self.startup_time_ns, self.frame_count, self.delay_time_ns)):
+            raise InvalidInputError("startup_time, frame_count and delay_time must be integers")
         if self.frame_count < 0 or self.delay_time_ns < 0:
             raise InvalidInputError("frame_count and delay_time must be >= 0")
         if self.attack_type not in ("drop", "delay"):
             raise InvalidInputError(f"unknown attack_type {self.attack_type!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One simulation's inputs.  Building one with any defect raises
+    :class:`InvalidInputError` listing every one; the engine checks none."""
+
     scenario: Scenario
     deployment: Deployment
     egress_mode: str | dict[str, str] = "ttubs"
@@ -131,11 +143,58 @@ class SimConfig:
     rng_seed: int = 1
     sim_duration_ns: int = 10_000_000_000
 
+    def __post_init__(self):
+        if defects := self._defects():
+            raise InvalidInputError("; ".join(defects))
+
     def mode_of(self, switch: str) -> str:
-        mode = self.egress_mode if isinstance(self.egress_mode, str) else self.egress_mode[switch]
-        if mode not in ("tas", "ttubs"):
-            raise InvalidInputError(f"unknown egress mode {mode!r}")
-        return mode
+        return self.egress_mode if isinstance(self.egress_mode, str) else self.egress_mode[switch]
+
+    def _defects(self) -> list[str]:
+        sc, dep, egress = self.scenario, self.deployment, self.egress_mode
+        switches = {n for n, kind in sc.nodes if kind == "switch"}
+        modes = egress.values() if isinstance(egress, dict) else (egress,)
+        defects = [f"unknown egress mode {m!r}" for m in dict.fromkeys(modes) if m not in ("tas", "ttubs")]
+        if isinstance(egress, dict):  # a per-switch egress mode names every switch and nothing else
+            wrong = [f"no mode for switch {n}" for n in sorted(switches - set(egress))]
+            wrong += [f"{n} is not a switch" for n in sorted(set(egress) - switches, key=str)]
+            if wrong:
+                defects.append("egress_mode: " + "; ".join(wrong))
+        if defects:
+            return defects  # the checks below read each switch's mode
+        if type(self.rng_seed) is not int or type(self.sim_duration_ns) is not int:
+            defects.append("rng_seed and sim_duration_ns must be integers")
+        elif self.sim_duration_ns < sc.hyper_period_ns:
+            defects.append("simulation shorter than one hyper-period")
+
+        # the deployment, as the ports, the talkers and the shaped queues read it
+        used = dict.fromkeys(key for s in sc.streams for key in s.route)  # links that carry a stream
+        for a, b in filter(sc.is_switch_egress, used):
+            if self.mode_of(a) == "tas" and dep.gcls.get((a, b)) is None:
+                defects.append(f"no gate control list for {a}->{b}")
+        for s in sc.streams:
+            for key in filter(sc.is_switch_egress, s.route):
+                q, count = dep.queues.get((s.id, key)), sc.link(key).queue_count
+                if q is None:
+                    defects.append(f"no queue for {s.id} on {key[0]}->{key[1]}")
+                elif type(q) is not int or not 0 <= q < count:
+                    defects.append(f"queue {q!r} of {s.id} on {key[0]}->{key[1]} is outside 0..{count - 1}")
+            shaped = [key for key in filter(sc.is_switch_egress, s.route) if self.mode_of(key[0]) == "ttubs"]
+            for key in (s.route[0], *shaped):
+                try:
+                    dep.table.row_for(s.id, key)
+                except InvalidInputError as err:
+                    defects.append(str(err))
+
+        # a fault that can never fire is refused rather than ignored
+        links = {ln.key for ln in sc.links}
+        for f in self.faults:
+            where = f"fault at {f.ingress[1]} on ingress {f.ingress[0]}->{f.ingress[1]}"
+            if f.ingress not in links or f.ingress[1] not in switches:
+                defects.append(f"{where}: not a link of the scenario into a switch")
+            elif not any(f.match_stream in (None, s.id) for s in sc.streams_on_link(f.ingress)):
+                defects.append(f"{where}: no stream it matches crosses the link")
+        return defects
 
 
 @dataclass
@@ -151,12 +210,19 @@ class StreamMetrics:
     jitter_violation: bool = False
     frames: list[tuple[int, int, int]] = field(default_factory=list)  # (slot, payload, e2e)
 
+    @property
+    def shaper_discards(self) -> int:
+        """Frames the stream's shaped queues dropped: timed out or displaced."""
+        return self.drops["timeout_discarded"] + self.drops["displaced"]
+
 
 @dataclass
 class SimReport:
     metrics: dict[str, StreamMetrics]
-    shaper_discards: int  # timeout + displaced, network-wide
-    trace_path: str | None = None
+
+    @property
+    def shaper_discards(self) -> int:
+        return sum(m.shaper_discards for m in self.metrics.values())
 
 
 def eligibility_decision(now: int, offsets: tuple[int, ...], cycle_ns: int, period_ns: int):
@@ -249,46 +315,21 @@ class _Engine:
         dep = config.deployment
         self.streams = list(scenario.streams)
         self.cycle = scenario.hyper_period_ns
-        if config.sim_duration_ns < self.cycle:
-            raise InvalidInputError("simulation shorter than one hyper-period")
-
         self.heap: list = []
         self.rng = np.random.default_rng(config.rng_seed)
 
         self.metrics = [StreamMetrics() for _ in self.streams]  # by stream index
-        self.shaper_discards = 0
         self.in_flight = 0
-
-        # a per-switch egress mode names every switch and nothing else
-        kinds = dict(scenario.nodes)
-        if not isinstance(config.egress_mode, str):
-            switches = {n for n, kind in kinds.items() if kind == "switch"}
-            named = set(config.egress_mode)
-            wrong = [f"no mode for switch {n}" for n in sorted(switches - named)]
-            wrong += [f"{n} is not a switch" for n in sorted(named - switches, key=str)]
-            if wrong:
-                raise InvalidInputError("egress_mode: " + "; ".join(wrong))
 
         ports: dict[LinkKey, _Port] = {}
         for rank, ln in enumerate(scenario.links):
-            gcl = None
-            if scenario.is_switch_egress(ln.key) and config.mode_of(ln.src) == "tas":
-                gcl = dep.gcls.get(ln.key)
-                if gcl is None and scenario.streams_on_link(ln.key):
-                    raise InvalidInputError(f"no gate control list for {ln.src}->{ln.dst}")
+            gated = scenario.is_switch_egress(ln.key) and config.mode_of(ln.src) == "tas"
+            gcl = dep.gcls.get(ln.key) if gated else None
             ports[ln.key] = _Port(rank, ln.key, ln.rate_bps, scenario.arrival_lag_ns(ln.key, 0), gcl)
 
-        # fault meters keyed by ingress link; a fault that can never fire
-        # is refused rather than ignored
+        # fault meters keyed by ingress link
         meters: dict[LinkKey, list] = {}
         for rank, cfg in enumerate(config.faults):
-            where = f"fault at {cfg.switch} on ingress {cfg.ingress[0]}->{cfg.ingress[1]}"
-            if cfg.ingress not in ports or kinds.get(cfg.ingress[1]) != "switch":
-                raise InvalidInputError(f"{where}: not a link of the scenario into a switch")
-            if cfg.switch != cfg.ingress[1]:
-                raise InvalidInputError(f"{where}: the link ends at {cfg.ingress[1]}")
-            if not any(cfg.match_stream in (None, s.id) for s in scenario.streams_on_link(cfg.ingress)):
-                raise InvalidInputError(f"{where}: no stream it matches crosses the link")
             meters.setdefault(cfg.ingress, []).append((rank, MeterState(cfg), []))
 
         # per stream, one (egress port, shared queue, shaped queue or None,
@@ -323,7 +364,6 @@ class _Engine:
                 if t0 < config.sim_duration_ns:
                     self.push(t0, PH_SEND, i, (i, slot))
 
-        # opened last, so a rejected config leaves no file open
         self.trace = open(trace_path, "w") if trace_path else None
         if self.trace:
             self.trace.write("time_ns,node,event,stream,slot,disposition\n")
@@ -337,8 +377,6 @@ class _Engine:
 
     def drop(self, t, node, frame: _Frame, cause: str, event: str):
         self.metrics[frame.stream_idx].drops[cause] += 1
-        if cause in ("timeout_discarded", "displaced"):
-            self.shaper_discards += 1
         self.in_flight -= 1
         if self.trace:
             self.emit(t, node, event, frame.stream_idx, frame.slot, cause)
@@ -409,7 +447,7 @@ class _Engine:
         frames, pending[:] = list(pending), []
         for frame in frames:
             if self.trace:
-                self.emit(t, state.config.switch, "meter_release", frame.stream_idx, frame.slot)
+                self.emit(t, state.config.ingress[1], "meter_release", frame.stream_idx, frame.slot)
             self.to_egress(t, frame)
 
     def to_egress(self, t, frame: _Frame):
@@ -542,4 +580,4 @@ def run(config: SimConfig, trace_path: str | None = None) -> SimReport:
     if engine.in_flight != 0:
         raise AssertionError(f"{engine.in_flight} frames unaccounted at drain")
     metrics = collect_metrics(config.scenario, {s.id: m for s, m in zip(engine.streams, engine.metrics)})
-    return SimReport(metrics=metrics, shaper_discards=engine.shaper_discards, trace_path=trace_path)
+    return SimReport(metrics)

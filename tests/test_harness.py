@@ -120,7 +120,7 @@ def test_replay_never_simulates_invalid_schedule(adas, table6, monkeypatch, tmp_
         rep = replay(adas, bad, mode, "tas", (), 1, 2_000_000, str(tmp_path / "trace.csv"))
         assert [v.category for v in rep.violations] == ["domain"], mode
         assert not rep.validation_ok and not rep.requirements_met
-        assert rep.metrics == {} and rep.trace_path is None
+        assert rep.metrics == {}
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -203,6 +203,14 @@ def test_cli_replay_with_attack(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "validation=ok" in printed and "shaper_discards=1" in printed
+
+
+def test_cli_attack_switch_must_be_the_ingress_far_end(capsys):
+    # the meter on ingress AV2->SW2 sits at SW2; naming SW1 would meter nothing
+    with pytest.raises(SystemExit) as exit_:
+        main(["replay", "table3", "--attack", "drop,SW1,AV2>SW2,21,1,cam2", "--duration-s", "0.002"])
+    assert exit_.value.code == 2
+    assert "switch SW1 is not the far end of ingress AV2->SW2" in capsys.readouterr().err
 
 
 def test_cli_census_csv(tmp_path, capsys):

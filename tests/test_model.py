@@ -18,6 +18,7 @@ from ttubs.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from ttubs.schedule import Schedule
 
 US = 1_000
 MS = 1_000_000
@@ -348,3 +349,41 @@ def test_scenario_from_dict_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(InvalidInputError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == f"invalid scenario document: {type(doc).__name__} is not an object"
+
+
+
+def _edited(path, value):
+    """Replaces the value at ``path`` of a document and returns it."""
+    def edit(doc):
+        _set(path, value)(doc)
+        return doc
+
+    return edit
+
+
+# one malformed schedule document per shape the loader used to cast, crash
+# on or take; each is made from the table6 document, whose offsets[0] is
+# cam1 on AV1->SW2 slot 0
+SCHEDULE_DEFECTS = {
+    "offsets[0]: offset_ns 21000.7 is not an integer": _edited(("offsets", 0, "offset_ns"), 21000.7),
+    "offsets[0]: offset_ns '5' is not an integer": _edited(("offsets", 0, "offset_ns"), "5"),
+    "offsets[0]: slot True is not an integer": _edited(("offsets", 0, "slot"), True),
+    "queues[0]: queue 2.9 is not an integer": _edited(("queues", 0, "queue"), 2.9),
+    "offsets[0]: link 'AB' is not a [src, dst] pair": _edited(("offsets", 0, "link"), "AB"),
+    "offsets[0]: node 1 is not a string": _edited(("offsets", 0, "link"), [1, "SW2"]),
+    "offsets[0]: stream ['cam1'] is not a string": _edited(("offsets", 0, "stream"), ["cam1"]),
+    "offsets[0]: missing key 'offset_ns'": _edited(
+        ("offsets", 0), {"stream": "cam1", "link": ["AV1", "SW2"], "slot": 0}
+    ),
+    "missing key 'offsets'": lambda doc: {"queues": doc["queues"]},
+    "list is not an object": lambda doc: [],
+    "offsets[1]: repeats row ('cam1', ('AV1', 'SW2'), 0)": lambda doc: {**doc, "offsets": doc["offsets"][:1] * 2},
+}
+
+
+@pytest.mark.parametrize("error", SCHEDULE_DEFECTS)
+def test_schedule_from_dict_rejects_each_malformed_document(table6, error):
+    doc = SCHEDULE_DEFECTS[error](json.loads(json.dumps(table6.to_dict())))
+    with pytest.raises(InvalidInputError) as err:
+        Schedule.from_dict(doc)
+    assert str(err.value) == f"invalid schedule document: {error}"

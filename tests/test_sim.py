@@ -63,7 +63,7 @@ def test_shaper_exact_boundary_releases_now():
 def test_displacement_keeps_newest(adas, dep3):
     # deliver a delayed frame while the next one is already held: the held
     # (newer) frame survives, arrival order per stream chain is preserved
-    delay = AttackConfig("SW1", ("SW2", "SW1"), "delay", 21_000, 1, 195_000, match_stream="cam2")
+    delay = AttackConfig(("SW2", "SW1"), "delay", 21_000, 1, 195_000, match_stream="cam2")
     rep = run(SimConfig(adas, dep3, "ttubs", (delay,), 1, SHORT))
     drops = rep.metrics["cam2"].drops
     assert drops["timeout_discarded"] + drops["displaced"] >= 1
@@ -140,19 +140,19 @@ def test_strict_priority_serves_highest_queue_first(tmp_path):
 # fault meter
 
 def test_meter_drop_counts():
-    m = MeterState(AttackConfig("SW2", ("AV2", "SW2"), "drop", 21_000, 1))
+    m = MeterState(AttackConfig(("AV2", "SW2"), "drop", 21_000, 1))
     assert m.decide("cam2", 9_776) == "pass"  # before startup
     assert m.decide("cam2", 109_776) == "drop"
     assert m.decide("cam2", 209_776) == "pass"  # budget exhausted
 
 
 def test_meter_zero_count_passes_everything():
-    m = MeterState(AttackConfig("SW2", ("AV2", "SW2"), "drop", 0, 0))
+    m = MeterState(AttackConfig(("AV2", "SW2"), "drop", 0, 0))
     assert m.decide("cam2", 5) == "pass"
 
 
 def test_meter_stream_match():
-    m = MeterState(AttackConfig("SW1", ("SW2", "SW1"), "delay", 0, 1, 10_000, match_stream="cam2"))
+    m = MeterState(AttackConfig(("SW2", "SW1"), "delay", 0, 1, 10_000, match_stream="cam2"))
     assert m.decide("cam1", 50) == "pass"
     assert m.decide("cam2", 50) == "delay"
     m.holding = True
@@ -289,6 +289,103 @@ def test_rejected_config_opens_no_trace(adas, dep3, tmp_path):
     assert not path.exists()
 
 
+def _two_queue_port_deployment(queue):
+    """A -> S -> B with two queues on S->B, the stream in ``queue`` there."""
+    sc = Scenario(
+        (("A", "end-station"), ("S", "switch"), ("B", "end-station")),
+        (Link("A", "S", 10**9), Link("S", "B", 10**9, queue_count=2)),
+        (Stream("s", 100_000, 100, 100, (("A", "S"), ("S", "B")), 100_000, 10_000),),
+    )
+    sched = Schedule(offsets={("s", ("A", "S"), 0): 0, ("s", ("S", "B"), 0): 2_000}, queues={("s", ("S", "B")): 1})
+    dep = build_deployment(sc, sched)
+    return sc, replace(dep, queues={("s", ("S", "B")): queue})
+
+
+def _queued(queue):
+    """The table3 config with cam1's queue on SW2->SW1 set, or removed for None."""
+    def build(adas, dep3):
+        queues = {k: q for k, q in dep3.queues.items() if k != ("cam1", ("SW2", "SW1"))}
+        if queue is not None:
+            queues[("cam1", ("SW2", "SW1"))] = queue
+        return SimConfig(adas, replace(dep3, queues=queues), "tas")
+
+    return build
+
+
+def _delayed(**counts):
+    """The table3 config with the Table 5 delay fault, ``counts`` replaced."""
+    return lambda adas, dep3: SimConfig(adas, dep3, "tas", (replace(table5_delay(), **counts),))
+
+
+COUNTS_NOT_INT = "startup_time, frame_count and delay_time must be integers"
+
+
+# each of these configs used to build, and its run then raised KeyError,
+# IndexError mid-run with a partial trace, or TypeError mid-run, or ran a
+# queue its port lacks, or dropped 2 frames for a count of 1.5
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (_queued(None), "no queue for cam1 on SW2->SW1"),
+        (_queued(9), "queue 9 of cam1 on SW2->SW1 is outside 0..7"),
+        (lambda adas, dep3: SimConfig(*_two_queue_port_deployment(5), "tas"), "queue 5 of s on S->B is outside 0..1"),
+        (_delayed(frame_count=1.5), COUNTS_NOT_INT),
+        (_delayed(delay_time_ns=10_000.5), COUNTS_NOT_INT),
+        (_delayed(startup_time_ns="21000"), COUNTS_NOT_INT),
+        (lambda adas, dep3: SimConfig(adas, dep3, "bogus"), "unknown egress mode 'bogus'"),
+    ],
+    ids=["queue-missing", "queue-9", "queue-5-of-2", "count-1.5", "delay-float", "startup-str", "mode-bogus"],
+)
+def test_config_refuses_each_defect_when_built(adas, dep3, build, error):
+    with pytest.raises(InvalidInputError) as err:
+        build(adas, dep3)
+    assert str(err.value) == error
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_is_refused_when_built_or_runs(adas, dep3, data):
+    """One mutation of the table3 deployment, or one fault of any shape on
+    any link: under each egress mode, building the config raises
+    InvalidInputError, or the run completes and conserves every stream's
+    frames."""
+    kind = data.draw(st.sampled_from(("queue", "row", "gcl", "fault")))
+    dep, fault = dep3, None
+    if kind == "queue":
+        key = data.draw(st.sampled_from(sorted(dep3.queues)))
+        queue = data.draw(st.sampled_from((None, -1, 8, 9)))
+        queues = {k: q for k, q in dep3.queues.items() if k != key}
+        dep = replace(dep3, queues=queues if queue is None else {**queues, key: queue})
+    elif kind == "row":
+        row = data.draw(st.sampled_from(dep3.table.rows))
+        dep = replace(dep3, table=ShaperOffsetTable(tuple(r for r in dep3.table.rows if r != row)))
+    elif kind == "gcl":
+        key = data.draw(st.sampled_from(sorted(dep3.gcls)))
+        dep = replace(dep3, gcls={k: g for k, g in dep3.gcls.items() if k != key})
+    else:
+        counts = {
+            "startup_time_ns": data.draw(st.integers(-1, SHORT)),
+            "frame_count": data.draw(st.integers(-1, 5)),
+            "delay_time_ns": data.draw(st.integers(-1, 2 * CYCLE)),
+        }
+        odd = data.draw(st.sampled_from((None, None, *counts)))  # three in five faults have a non-int count
+        if odd:
+            counts[odd] = data.draw(st.floats(-1, SHORT) | st.booleans())
+        fault = dict(
+            ingress=data.draw(st.sampled_from([ln.key for ln in adas.links])),
+            attack_type=data.draw(st.sampled_from(("drop", "delay"))),
+            match_stream=data.draw(st.sampled_from((*(s.id for s in adas.streams), "cam9", None))),
+            **counts,
+        )
+    for egress in ("tas", "ttubs"):
+        try:
+            config = SimConfig(adas, dep, egress, (AttackConfig(**fault),) if fault else (), 1, SHORT)
+        except InvalidInputError:
+            continue
+        for m in run(config).metrics.values():
+            assert m.sent == m.delivered + sum(m.drops.values())
+
+
 def test_trace_columns(adas, dep3, tmp_path):
     path = tmp_path / "trace.csv"
     run(SimConfig(adas, dep3, "ttubs", rng_seed=1, sim_duration_ns=400_000), trace_path=str(path))
@@ -385,7 +482,7 @@ def _replay_configs(draw):
         ingress = draw(st.sampled_from([key for key in s.route if key[1] in switches]))
         kind = draw(st.sampled_from(("drop", "delay")))
         faults.append(AttackConfig(
-            ingress[1], ingress, kind,
+            ingress, kind,
             draw(st.integers(0, sc.hyper_period_ns)),
             draw(st.integers(1, 5)),
             draw(st.integers(0, longest)) if kind == "delay" else 0,
@@ -556,7 +653,7 @@ def test_on_time_frame_displaces_late_held_frame():
     res = lstb_solve(sc, "nfic", LstbLimits())
     assert res.status == "sat"
     dep = build_deployment(sc, res.schedule)
-    delay = AttackConfig("SW1", ("ES1_1", "SW1"), "delay", 2_343_959, 1, 9_997_184, match_stream="s13")
+    delay = AttackConfig(("ES1_1", "SW1"), "delay", 2_343_959, 1, 9_997_184, match_stream="s13")
     duration = 3 * sc.hyper_period_ns
     clean = run(SimConfig(sc, dep, "ttubs", (), 1, duration)).metrics
     faulted = run(SimConfig(sc, dep, "ttubs", (delay,), 1, duration)).metrics
@@ -568,7 +665,6 @@ def test_on_time_frame_displaces_late_held_frame():
 @pytest.mark.parametrize(
     "fault",
     [
-        replace(table5_drop(), switch="SW1"),  # ingress AV2->SW2 ends at SW2
         replace(table5_drop(), ingress=("AV9", "SW2")),  # not a link of the scenario
         replace(table5_drop(), match_stream="cam9"),  # not a stream
         replace(table5_drop(), match_stream="cam1"),  # a stream that never crosses AV2->SW2
