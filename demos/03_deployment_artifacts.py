@@ -15,11 +15,11 @@ from ttubs.artifacts import (
     e2e_closed_form,
     latency_breakdown,
 )
-from ttubs.fixtures import adas_scenario, table3_schedule
+from ttubs.fixtures import adas_scenario, fixture_schedule
 from ttubs.model import ns_to_us_str
 
 scenario = adas_scenario()
-schedule = table3_schedule(scenario)
+schedule = fixture_schedule("table3", scenario)[0]
 
 table = build_shaper_offset_table(scenario, schedule)
 print("shaper offset table (CSV):")

@@ -12,13 +12,13 @@ moves.
 """
 
 from ttubs.artifacts import build_deployment
-from ttubs.fixtures import adas_scenario, table3_schedule
+from ttubs.fixtures import adas_scenario, fixture_schedule
 from ttubs.harness import fault_preset
 from ttubs.model import ns_to_us_str
 from ttubs.sim import SimConfig, run
 
 scenario = adas_scenario()
-deployment = build_deployment(scenario, table3_schedule(scenario))
+deployment = build_deployment(scenario, fixture_schedule("table3", scenario)[0])
 DURATION = 2_000_000_000  # 2 s, ten thousand hyper-periods
 
 cases = [("none", "healthy"), ("loss", "one frame dropped"),

@@ -12,6 +12,13 @@
   and the shared queue of each stream on each switch egress hop (the
   link's ``nfic_queue`` where the schedule assigns none).
 * Closed-form end-to-end latency, bounds and jitter from the table alone.
+
+Each artifact is valid by construction, raising :class:`InvalidInputError`
+when built with a defect: a ``ShaperRow`` needs ``int`` offsets, strictly
+increasing, in ``[0, cycle_time_ns)``; a ``ShaperOffsetTable`` one row per
+(stream, egress); a ``GateControlList`` a positive ``int`` cycle that its
+intervals tile in order, with ``int`` bounds and ``N_QUEUES`` gates each.
+Whether they fit a scenario is ``SimConfig``'s check.
 """
 
 from __future__ import annotations
@@ -54,15 +61,27 @@ class ShaperRow:
     eligibility_offsets_ns: tuple[int, ...]
     cycle_time_ns: int
 
+    def __post_init__(self):
+        offs, cycle = self.eligibility_offsets_ns, self.cycle_time_ns
+        chain = (-1, *offs, cycle)  # -1 < first offset < ... < last offset < cycle
+        if any(type(n) is not int for n in chain) or any(a >= b for a, b in zip(chain, chain[1:])):
+            where = f"shaper row of {self.stream} at {self.egress[0]}->{self.egress[1]}"
+            raise InvalidInputError(f"{where}: offsets {offs!r} are not increasing integers in [0, {cycle!r})")
+
 
 @dataclass(frozen=True)
 class ShaperOffsetTable:
     rows: tuple[ShaperRow, ...] = ()
 
+    def __post_init__(self):
+        if len(self._by_key) < len(self.rows):
+            keys = [(r.stream, r.egress) for r in self.rows]
+            stream, (a, b) = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise InvalidInputError(f"two shaper rows for {stream} at {a}->{b}")
+
     @cached_property
     def _by_key(self) -> dict[tuple[str, LinkKey], ShaperRow]:
-        # reversed, so the first row of a (stream, egress) key wins
-        return {(row.stream, row.egress): row for row in reversed(self.rows)}
+        return {(row.stream, row.egress): row for row in self.rows}
 
     def row_for(self, stream: str, egress: LinkKey) -> ShaperRow:
         try:
@@ -104,25 +123,41 @@ class GclInterval:
     gates: tuple[bool, ...]  # True = open, index = queue
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateControlList:
     cycle_time_ns: int
     intervals: tuple[GclInterval, ...]
 
+    def __post_init__(self):
+        cycle, pos = self.cycle_time_ns, 0
+        if type(cycle) is not int or cycle <= 0:
+            raise InvalidInputError(f"gate control list: cycle {cycle!r} is not a positive integer")
+        for iv in self.intervals:
+            where = f"gate control list: interval {iv.start_ns!r}-{iv.end_ns!r}"
+            if not (type(iv.start_ns) is int and type(iv.end_ns) is int and iv.start_ns < iv.end_ns):
+                raise InvalidInputError(f"{where} needs integer bounds, its start before its end")
+            if iv.start_ns != pos:
+                kind = "overlap" if iv.start_ns < pos else "gap"
+                raise InvalidInputError(f"{where} starts at {iv.start_ns}, not {pos} ({kind})")
+            if len(iv.gates) != N_QUEUES:
+                raise InvalidInputError(f"{where} has {len(iv.gates)} gates, not {N_QUEUES}")
+            pos = iv.end_ns
+        if pos != cycle:
+            raise InvalidInputError(f"gate control list: intervals end at {pos}, not at the cycle end {cycle}")
+
     def gates_at(self, t: int) -> tuple[bool, ...]:
         pos = t % self.cycle_time_ns
-        for iv in self.intervals:
-            if iv.start_ns <= pos < iv.end_ns:
-                return iv.gates
-        raise InvalidInputError(f"gate control list does not tile position {pos}")
+        return next(iv.gates for iv in self.intervals if pos < iv.end_ns)
 
     @cached_property
-    def windows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per queue, its open (start, end) windows of one cycle, sorted.
-        Touching open intervals form one window, and a window that reaches
-        the cycle end runs on into the next cycle's first window, so the
-        last window may end after ``cycle_time_ns``.  A queue open all
-        cycle has the single window ``(0, cycle_time_ns)``."""
+    def _bounds(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]:
+        """Per queue, None if its gate never closes, else (window starts,
+        window ends, longest window length; -1 with no window).  Touching
+        open intervals form one window, and a window that reaches the cycle
+        end runs on into the next cycle's first window.  The starts and ends
+        run over the windows of the previous, this and the next cycle,
+        relative to this cycle's start, so both are sorted and the previous
+        cycle's window that runs on into this one is among them."""
         cycle = self.cycle_time_ns
         out = []
         for q in range(N_QUEUES):
@@ -134,24 +169,11 @@ class GateControlList:
                     wins[-1][1] = iv.end_ns
                 else:
                     wins.append([iv.start_ns, iv.end_ns])
-            if len(wins) > 1 and wins[0][0] == 0 and wins[-1][1] == cycle:
-                wins[-1][1] = cycle + wins.pop(0)[1]
-            out.append(tuple(map(tuple, wins)))
-        return tuple(out)
-
-    @cached_property
-    def _bounds(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]:
-        """Per queue, None if its gate never closes, else (window starts,
-        window ends, longest window length; -1 with no window).  The starts
-        and ends run over the windows of the previous, this and the next
-        cycle, relative to this cycle's start, so both are sorted and the
-        previous cycle's window that runs on into this one is among them."""
-        cycle = self.cycle_time_ns
-        out = []
-        for wins in self.windows:
-            if wins == ((0, cycle),):
+            if wins == [[0, cycle]]:
                 out.append(None)
                 continue
+            if len(wins) > 1 and wins[0][0] == 0 and wins[-1][1] == cycle:
+                wins[-1][1] = cycle + wins.pop(0)[1]
             unrolled = [(start + shift, end + shift) for shift in (-cycle, 0, cycle) for start, end in wins]
             longest = max((end - start for start, end in wins), default=-1)
             out.append((tuple(s for s, _ in unrolled), tuple(e for _, e in unrolled), longest))
@@ -230,22 +252,11 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
     cycle = scenario.hyper_period_ns
     rows: list[ShaperRow] = []
     for s in scenario.streams:
-        n = scenario.slots_of(s)
+        slots = range(scenario.slots_of(s))
         for hop, key in enumerate(s.route):
-            offs = tuple(schedule.offset(s.id, key, slot) for slot in range(n))
+            offs = tuple(schedule.offset(s.id, key, slot) for slot in slots)
             ingress = s.route[hop - 1] if hop > 0 else None
-            rows.append(
-                ShaperRow(
-                    switch=key[0],
-                    egress=key,
-                    ingress=ingress,
-                    stream=s.id,
-                    eligibility_offsets_ns=offs,
-                    cycle_time_ns=cycle,
-                )
-            )
-            if scenario.is_switch_egress(key) and list(offs) != sorted(offs):
-                raise InvalidInputError(f"offsets not increasing for {s.id} at {key}")
+            rows.append(ShaperRow(key[0], key, ingress, s.id, offs, cycle))
     return ShaperOffsetTable(tuple(rows))
 
 
@@ -276,7 +287,8 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
     window exactly the frame's queue is open and every other queue closed;
     between windows the port's time-triggered queues close and the rest
     open.  Windows use the exact wire time of the largest admissible
-    frame."""
+    frame; windows that overlap or pass the cycle end make a list that
+    refuses to build."""
     cycle = scenario.hyper_period_ns
     rate = scenario.link(link).rate_bps
     windows: list[tuple[int, int, int]] = []  # start, end, queue
@@ -291,12 +303,6 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
             start = schedule.offset(s.id, link, slot)
             windows.append((start, start + dur, q))
     windows.sort()
-    for (s1, e1, _), (s2, e2, _) in zip(windows, windows[1:]):
-        if s2 < e1:
-            raise InvalidInputError(f"overlapping windows on {link[0]}->{link[1]}: {e1} > {s2}")
-    if windows and windows[-1][1] > cycle:
-        raise InvalidInputError(f"window past cycle end on {link[0]}->{link[1]}")
-
     idle = tuple(q not in tt_queues for q in range(N_QUEUES))
     intervals: list[GclInterval] = []
     pos = 0
@@ -306,7 +312,7 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
         gates = tuple(i == q for i in range(N_QUEUES))
         intervals.append(GclInterval(start, end, gates))
         pos = end
-    if pos < cycle or not intervals:
+    if pos < cycle:
         intervals.append(GclInterval(pos, cycle, idle))
     return GateControlList(cycle, tuple(intervals))
 

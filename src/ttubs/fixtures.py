@@ -18,10 +18,6 @@ from .schedule import Schedule
 
 __all__ = [
     "adas_scenario",
-    "table3_schedule",
-    "table6_schedule",
-    "table7_schedule",
-    "table8_schedule",
     "fixture_schedule",
     "FIXTURE_NAMES",
     "VALIDATION_MODES",
@@ -82,22 +78,6 @@ def fixture_schedule(name: str, scenario: Scenario | None = None) -> tuple[Sched
         for st, q in TABLE6_QUEUES.items():
             sched.queues[(st, SW2_SW1)] = sched.queues[(st, SW1_CH)] = q
     return sched, (_fill_missing(scenario, sched) if name == "table7" else [])
-
-
-def table3_schedule(scenario: Scenario | None = None) -> Schedule:
-    return fixture_schedule("table3", scenario)[0]
-
-
-def table6_schedule(scenario: Scenario | None = None) -> Schedule:
-    return fixture_schedule("table6", scenario)[0]
-
-
-def table7_schedule(scenario: Scenario | None = None) -> tuple[Schedule, list]:
-    return fixture_schedule("table7", scenario)
-
-
-def table8_schedule(scenario: Scenario | None = None) -> Schedule:
-    return fixture_schedule("table8", scenario)[0]
 
 
 def _fill_missing(scenario: Scenario, sched: Schedule) -> list:

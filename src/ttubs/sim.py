@@ -34,13 +34,14 @@ frames of its own chain (released in order with it), other chains are
 unaffected.
 
 Building a :class:`SimConfig` refuses, before any run starts, an unknown
-egress mode or a mode dict that does not name exactly the switches, a
-seed or duration that is not an ``int``, a run shorter than one
-hyper-period, a switch egress hop without a queue in ``0..queue_count-1``,
-a ``tas`` port with a stream but no gate list, a missing talker or
-``ttubs`` shaper row, and a fault that can never fire (its ingress is no
-scenario link into a switch that a matched stream crosses).  The engine
-checks nothing.
+egress mode or a mode dict that does not name exactly the switches, a seed
+or duration that is not an ``int``, a negative seed, a run shorter than one
+hyper-period, a switch egress hop without a queue in ``0..queue_count-1``, a
+``tas`` port with a stream but no gate list, a talker or ``ttubs`` shaper
+row that is missing or lacks one offset per slot of its stream in a
+hyper-period cycle, and a fault that can never fire (its ingress is no
+scenario link into a switch that a matched stream crosses).  Gate lists and
+rows check their own shape.  The engine checks nothing.
 
 Everything is integer nanoseconds and rng-seeded; identical configs give
 byte-identical traces.  Payloads are drawn uniformly per frame; a stream
@@ -166,6 +167,8 @@ class SimConfig:
             defects.append("rng_seed and sim_duration_ns must be integers")
         elif self.sim_duration_ns < sc.hyper_period_ns:
             defects.append("simulation shorter than one hyper-period")
+        if type(self.rng_seed) is int and self.rng_seed < 0:
+            defects.append("rng_seed must be >= 0")
 
         # the deployment, as the ports, the talkers and the shaped queues read it
         used = dict.fromkeys(key for s in sc.streams for key in s.route)  # links that carry a stream
@@ -180,11 +183,16 @@ class SimConfig:
                 elif type(q) is not int or not 0 <= q < count:
                     defects.append(f"queue {q!r} of {s.id} on {key[0]}->{key[1]} is outside 0..{count - 1}")
             shaped = [key for key in filter(sc.is_switch_egress, s.route) if self.mode_of(key[0]) == "ttubs"]
-            for key in (s.route[0], *shaped):
+            for a, b in (s.route[0], *shaped):  # each row holds one offset per slot of one hyper-period
                 try:
-                    dep.table.row_for(s.id, key)
+                    row = dep.table.row_for(s.id, (a, b))
                 except InvalidInputError as err:
                     defects.append(str(err))
+                    continue
+                have, need = (len(row.eligibility_offsets_ns), row.cycle_time_ns), (sc.slots_of(s), sc.hyper_period_ns)
+                if have != need:
+                    defects.append("shaper row of {} at {}->{}: {} offset(s) in cycle {}, not {} in {}".format(
+                        s.id, a, b, *have, *need))
 
         # a fault that can never fire is refused rather than ignored
         links = {ln.key for ln in sc.links}
@@ -276,14 +284,13 @@ class _Frame:
 
 
 class _ShapedQueue:
-    __slots__ = ("rank", "held", "epoch", "offsets", "cycle", "period")
+    __slots__ = ("rank", "held", "epoch", "offsets", "period")
 
-    def __init__(self, rank, offsets, cycle, period):
+    def __init__(self, rank, offsets, period):
         self.rank = rank  # its index among the engine's shaped queues
         self.held: _Frame | None = None
         self.epoch = 0
-        self.offsets = offsets
-        self.cycle = cycle
+        self.offsets = offsets  # one per slot of a hyper-period cycle
         self.period = period
 
 
@@ -349,8 +356,8 @@ class _Engine:
                 if scenario.is_switch_egress(key):
                     queue = dep.queues[(s.id, key)]
                     if config.mode_of(key[0]) == "ttubs":
-                        row = dep.table.row_for(s.id, key)
-                        shaped = _ShapedQueue(shaped_count, row.eligibility_offsets_ns, row.cycle_time_ns, s.period_ns)
+                        offsets = dep.table.row_for(s.id, key).eligibility_offsets_ns
+                        shaped = _ShapedQueue(shaped_count, offsets, s.period_ns)
                         shaped_count += 1
                 if queue not in port.used:
                     port.used = tuple(sorted((*port.used, queue), reverse=True))
@@ -465,7 +472,7 @@ class _Engine:
             sq.held = None
             sq.epoch += 1
             self.drop(t, node, older, "displaced", "shaper_displace")
-        verdict, release = eligibility_decision(t, sq.offsets, sq.cycle, sq.period)
+        verdict, release = eligibility_decision(t, sq.offsets, self.cycle, sq.period)
         if verdict == "timeout":
             self.drop(t, node, frame, "timeout_discarded", "shaper_timeout")
             return

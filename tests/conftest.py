@@ -1,6 +1,6 @@
 import pytest
 
-from ttubs.fixtures import adas_scenario, table3_schedule, table6_schedule, table8_schedule
+from ttubs.fixtures import adas_scenario, fixture_schedule
 
 
 @pytest.fixture(scope="session")
@@ -10,14 +10,14 @@ def adas():
 
 @pytest.fixture(scope="session")
 def table3(adas):
-    return table3_schedule(adas)
+    return fixture_schedule("table3", adas)[0]
 
 
 @pytest.fixture(scope="session")
 def table6(adas):
-    return table6_schedule(adas)
+    return fixture_schedule("table6", adas)[0]
 
 
 @pytest.fixture(scope="session")
 def table8(adas):
-    return table8_schedule(adas)
+    return fixture_schedule("table8", adas)[0]

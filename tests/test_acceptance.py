@@ -11,7 +11,7 @@ import pytest
 
 from ttubs.artifacts import build_deployment, build_shaper_offset_table, e2e_bounds_and_jitter, e2e_per_slot
 from ttubs.constraints import census, validate_schedule
-from ttubs.fixtures import adas_scenario, table3_schedule, table8_schedule
+from ttubs.fixtures import adas_scenario, fixture_schedule
 from ttubs.harness import ChainSpec, gen_chain, table5_delay, table5_drop
 from ttubs.lstb import LstbLimits, lstb_solve, order_frames
 from ttubs.model import expand_frame_instances
@@ -30,12 +30,12 @@ def adas():
 
 @pytest.fixture(scope="module")
 def dep3(adas):
-    return build_deployment(adas, table3_schedule(adas))
+    return build_deployment(adas, fixture_schedule("table3", adas)[0])
 
 
 @pytest.fixture(scope="module")
 def dep8(adas):
-    return build_deployment(adas, table8_schedule(adas))
+    return build_deployment(adas, fixture_schedule("table8", adas)[0])
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def _requirements_met(scenario, report):
 
 def test_criterion_01_fixture_validation(adas):
     start = time.perf_counter()
-    t3, t8 = table3_schedule(adas), table8_schedule(adas)
+    t3, t8 = fixture_schedule("table3", adas)[0], fixture_schedule("table8", adas)[0]
     assert validate_schedule(adas, t3, "nfic") == []
     assert validate_schedule(adas, t8, "nfic") == []
     switch_keys = [k for k in t3.offsets if k[1][0] in ("SW1", "SW2")]
@@ -73,7 +73,7 @@ def test_criterion_01_fixture_validation(adas):
 
 
 def test_criterion_02_closed_form_reproduction(adas):
-    table = build_shaper_offset_table(adas, table3_schedule(adas))
+    table = build_shaper_offset_table(adas, fixture_schedule("table3", adas)[0])
     cam = e2e_bounds_and_jitter(adas, "cam1", table)
     assert cam == (41_776, 40_176, 1_600)
     # published rounded values within 0.5 us

@@ -5,6 +5,7 @@ from ttubs.artifacts import (
     GateControlList,
     GclInterval,
     ShaperOffsetTable,
+    ShaperRow,
     build_deployment,
     build_gcl,
     build_shaper_offset_table,
@@ -109,6 +110,59 @@ def test_gcl_overlap_rejected(adas, table3):
     broken.offsets[("cam1", SW2_SW1, 0)] = 11_000  # collides with cam2
     with pytest.raises(InvalidInputError, match="overlap"):
         build_gcl(adas, broken, SW2_SW1)
+
+
+OPEN = (True,) * 8
+CAM1_ROW = dict(switch="SW1", egress=SW1_CH, ingress=SW2_SW1, stream="cam1", cycle_time_ns=200_000)
+NOT_INCREASING = "shaper row of cam1 at SW1->CentralHost: offsets {} are not increasing integers in [0, 200000)"
+
+
+# each of these used to build: a gate list with a gap or an overlap ran with
+# the gap read as closed, one with four gates or cycle 0 raised mid-run, and
+# the table's lookup kept the first of two rows silently
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (
+            lambda: GateControlList(100, (GclInterval(0, 100, (True,) * 4),)),
+            "gate control list: interval 0-100 has 4 gates, not 8",
+        ),
+        (
+            lambda: GateControlList(100, (GclInterval(10, 100, OPEN),)),
+            "gate control list: interval 10-100 starts at 10, not 0 (gap)",
+        ),
+        (
+            lambda: GateControlList(100, (GclInterval(0, 60, OPEN), GclInterval(50, 100, OPEN))),
+            "gate control list: interval 50-100 starts at 50, not 60 (overlap)",
+        ),
+        (lambda: GateControlList(0, ()), "gate control list: cycle 0 is not a positive integer"),
+        (
+            lambda: GateControlList(100, (GclInterval(0, 50.0, OPEN), GclInterval(50, 100, OPEN))),
+            "gate control list: interval 0-50.0 needs integer bounds, its start before its end",
+        ),
+        (
+            lambda: ShaperRow(**CAM1_ROW, eligibility_offsets_ns=(132_000, 32_000)),
+            NOT_INCREASING.format("(132000, 32000)"),
+        ),
+        (
+            lambda: ShaperRow(**CAM1_ROW, eligibility_offsets_ns=(32_000, 200_000)),
+            NOT_INCREASING.format("(32000, 200000)"),
+        ),
+        (
+            lambda: ShaperOffsetTable((
+                ShaperRow(**CAM1_ROW, eligibility_offsets_ns=(32_000, 132_000)),
+                ShaperRow(**CAM1_ROW, eligibility_offsets_ns=(33_000, 133_000)),
+            )),
+            "two shaper rows for cam1 at SW1->CentralHost",
+        ),
+    ],
+    ids=["gcl-four-gates", "gcl-gap-at-0", "gcl-overlap", "gcl-cycle-0", "gcl-float-bound",
+         "row-decreasing", "row-offset-at-cycle-end", "table-repeated-row"],
+)
+def test_artifact_refuses_each_defect_when_built(build, error):
+    with pytest.raises(InvalidInputError) as err:
+        build()
+    assert str(err.value) == error
 
 
 def test_gcl_wa_distinct_queues(adas, table6):

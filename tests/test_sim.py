@@ -317,12 +317,22 @@ def _delayed(**counts):
     return lambda adas, dep3: SimConfig(adas, dep3, "tas", (replace(table5_delay(), **counts),))
 
 
+def _row_changed(egress, egress_mode="ttubs", **change):
+    """The table3 config with cam1's shaper row at ``egress`` changed."""
+    def build(adas, dep3):
+        rows = tuple(replace(r, **change) if (r.stream, r.egress) == ("cam1", egress) else r for r in dep3.table.rows)
+        return SimConfig(adas, replace(dep3, table=ShaperOffsetTable(rows)), egress_mode)
+
+    return build
+
+
 COUNTS_NOT_INT = "startup_time, frame_count and delay_time must be integers"
 
 
 # each of these configs used to build, and its run then raised KeyError,
-# IndexError mid-run with a partial trace, or TypeError mid-run, or ran a
-# queue its port lacks, or dropped 2 frames for a count of 1.5
+# IndexError mid-run with a partial trace, TypeError mid-run or numpy's
+# ValueError, or ran a queue its port lacks, dropped 2 frames for a count
+# of 1.5, or sent half of cam1's frames
 @pytest.mark.parametrize(
     "build,error",
     [
@@ -333,8 +343,24 @@ COUNTS_NOT_INT = "startup_time, frame_count and delay_time must be integers"
         (_delayed(delay_time_ns=10_000.5), COUNTS_NOT_INT),
         (_delayed(startup_time_ns="21000"), COUNTS_NOT_INT),
         (lambda adas, dep3: SimConfig(adas, dep3, "bogus"), "unknown egress mode 'bogus'"),
+        (
+            _row_changed(("SW2", "SW1"), eligibility_offsets_ns=(21_000,)),
+            "shaper row of cam1 at SW2->SW1: 1 offset(s) in cycle 200000, not 2 in 200000",
+        ),
+        (
+            _row_changed(("AV1", "SW2"), "tas", eligibility_offsets_ns=(0,)),
+            "shaper row of cam1 at AV1->SW2: 1 offset(s) in cycle 200000, not 2 in 200000",
+        ),
+        (
+            _row_changed(("SW2", "SW1"), cycle_time_ns=400_000),
+            "shaper row of cam1 at SW2->SW1: 2 offset(s) in cycle 400000, not 2 in 200000",
+        ),
+        (lambda adas, dep3: SimConfig(adas, dep3, "tas", rng_seed=-1), "rng_seed must be >= 0"),
     ],
-    ids=["queue-missing", "queue-9", "queue-5-of-2", "count-1.5", "delay-float", "startup-str", "mode-bogus"],
+    ids=[
+        "queue-missing", "queue-9", "queue-5-of-2", "count-1.5", "delay-float", "startup-str", "mode-bogus",
+        "row-cut", "talker-row-cut", "row-cycle-400000", "seed-negative",
+    ],
 )
 def test_config_refuses_each_defect_when_built(adas, dep3, build, error):
     with pytest.raises(InvalidInputError) as err:
@@ -346,40 +372,65 @@ def test_config_refuses_each_defect_when_built(adas, dep3, build, error):
 @given(data=st.data())
 def test_mutated_config_is_refused_when_built_or_runs(adas, dep3, data):
     """One mutation of the table3 deployment, or one fault of any shape on
-    any link: under each egress mode, building the config raises
-    InvalidInputError, or the run completes and conserves every stream's
-    frames."""
+    any link: under each egress mode, building the mutated artifact or the
+    config raises InvalidInputError, or the run completes and conserves
+    every stream's frames."""
     kind = data.draw(st.sampled_from(("queue", "row", "gcl", "fault")))
     dep, fault = dep3, None
-    if kind == "queue":
-        key = data.draw(st.sampled_from(sorted(dep3.queues)))
-        queue = data.draw(st.sampled_from((None, -1, 8, 9)))
-        queues = {k: q for k, q in dep3.queues.items() if k != key}
-        dep = replace(dep3, queues=queues if queue is None else {**queues, key: queue})
-    elif kind == "row":
-        row = data.draw(st.sampled_from(dep3.table.rows))
-        dep = replace(dep3, table=ShaperOffsetTable(tuple(r for r in dep3.table.rows if r != row)))
-    elif kind == "gcl":
-        key = data.draw(st.sampled_from(sorted(dep3.gcls)))
-        dep = replace(dep3, gcls={k: g for k, g in dep3.gcls.items() if k != key})
-    else:
-        counts = {
-            "startup_time_ns": data.draw(st.integers(-1, SHORT)),
-            "frame_count": data.draw(st.integers(-1, 5)),
-            "delay_time_ns": data.draw(st.integers(-1, 2 * CYCLE)),
-        }
-        odd = data.draw(st.sampled_from((None, None, *counts)))  # three in five faults have a non-int count
-        if odd:
-            counts[odd] = data.draw(st.floats(-1, SHORT) | st.booleans())
-        fault = dict(
-            ingress=data.draw(st.sampled_from([ln.key for ln in adas.links])),
-            attack_type=data.draw(st.sampled_from(("drop", "delay"))),
-            match_stream=data.draw(st.sampled_from((*(s.id for s in adas.streams), "cam9", None))),
-            **counts,
-        )
+    try:
+        if kind == "queue":
+            key = data.draw(st.sampled_from(sorted(dep3.queues)))
+            queue = data.draw(st.sampled_from((None, -1, 8, 9)))
+            queues = {k: q for k, q in dep3.queues.items() if k != key}
+            dep = replace(dep3, queues=queues if queue is None else {**queues, key: queue})
+        elif kind == "row":  # removed, cut, extended or re-cycled
+            row = data.draw(st.sampled_from(dep3.table.rows))
+            how = data.draw(st.sampled_from(("remove", "cut", "extend", "cycle")))
+            offs = row.eligibility_offsets_ns
+            if how == "cut":
+                new = (replace(row, eligibility_offsets_ns=offs[:-1]),)
+            elif how == "extend":
+                new = (replace(row, eligibility_offsets_ns=(*offs, data.draw(st.integers(-1, 2 * CYCLE)))),)
+            elif how == "cycle":
+                new = (replace(row, cycle_time_ns=data.draw(st.sampled_from((0, CYCLE // 2, 2 * CYCLE)))),)
+            else:
+                new = ()
+            dep = replace(dep3, table=ShaperOffsetTable((*(r for r in dep3.table.rows if r != row), *new)))
+        elif kind == "gcl":  # removed, its gates narrowed, an interval dropped or its cycle zeroed
+            key = data.draw(st.sampled_from(sorted(dep3.gcls)))
+            gcl = dep3.gcls[key]
+            how = data.draw(st.sampled_from(("remove", "narrow", "drop", "zero")))
+            if how == "narrow":
+                width = data.draw(st.integers(0, 7))
+                new = {key: replace(gcl, intervals=tuple(replace(iv, gates=iv.gates[:width]) for iv in gcl.intervals))}
+            elif how == "drop":
+                i = data.draw(st.integers(0, len(gcl.intervals) - 1))
+                new = {key: replace(gcl, intervals=gcl.intervals[:i] + gcl.intervals[i + 1:])}
+            elif how == "zero":
+                new = {key: replace(gcl, cycle_time_ns=0)}
+            else:
+                new = {}
+            dep = replace(dep3, gcls={**{k: g for k, g in dep3.gcls.items() if k != key}, **new})
+        else:
+            counts = {
+                "startup_time_ns": data.draw(st.integers(-1, SHORT)),
+                "frame_count": data.draw(st.integers(-1, 5)),
+                "delay_time_ns": data.draw(st.integers(-1, 2 * CYCLE)),
+            }
+            odd = data.draw(st.sampled_from((None, None, *counts)))  # three in five faults have a non-int count
+            if odd:
+                counts[odd] = data.draw(st.floats(-1, SHORT) | st.booleans())
+            fault = AttackConfig(
+                ingress=data.draw(st.sampled_from([ln.key for ln in adas.links])),
+                attack_type=data.draw(st.sampled_from(("drop", "delay"))),
+                match_stream=data.draw(st.sampled_from((*(s.id for s in adas.streams), "cam9", None))),
+                **counts,
+            )
+    except InvalidInputError:
+        return  # the mutated artifact refused to build
     for egress in ("tas", "ttubs"):
         try:
-            config = SimConfig(adas, dep, egress, (AttackConfig(**fault),) if fault else (), 1, SHORT)
+            config = SimConfig(adas, dep, egress, (fault,) if fault else (), 1, SHORT)
         except InvalidInputError:
             continue
         for m in run(config).metrics.values():
