@@ -39,7 +39,7 @@ for mode in ("wa", "nfic"):
 # camera frame on the inter-switch link.
 cs = build_constraint_set(scenario, "wa")
 var = "off_cam1_SW2__SW1_0"
-hits = [gc for gc in cs.constraints if any(var in (v for a in conj for v, _ in a.terms) for conj in gc.disjuncts)]
+hits = [gc for gc in cs.constraints if any(var in (a.x, a.y) for conj in gc.disjuncts for a in conj)]
 print(f"\n{len(hits)} constraints mention {var}; first three:")
 for gc in hits[:3]:
     print("  ", gc.label)

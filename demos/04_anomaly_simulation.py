@@ -34,7 +34,7 @@ for egress in ("tas", "ttubs"):
         cells = ""
         for sid in ("cam1", "cam2", "radar", "control"):
             m = rep.metrics[sid]
-            flag = "!" if (m.deadline_violations or m.jitter_violation) else " "
+            flag = " " if m.requirements_met else "!"
             cells += f"{ns_to_us_str(m.e2e_max_ns):>9s}/{ns_to_us_str(m.jitter_ns):>5s}{flag}"
         print(f"{label:26s}{cells}   {rep.shaper_discards}")
     print()

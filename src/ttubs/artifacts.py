@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import N_QUEUES, InvalidInputError, Scenario, Stream, bytes_to_duration, ns_to_us_str
+from .model import N_QUEUES, InvalidInputError, Scenario, bytes_to_duration, ns_to_us_str
 from .schedule import Schedule
 
 __all__ = [
@@ -293,9 +293,7 @@ def build_gcl(scenario: Scenario, schedule: Schedule, link: LinkKey) -> GateCont
     rate = scenario.link(link).rate_bps
     windows: list[tuple[int, int, int]] = []  # start, end, queue
     tt_queues: set[int] = set()
-    for s in scenario.streams:
-        if link not in s.route:
-            continue
+    for s in scenario.streams_on_link(link):
         dur = bytes_to_duration(s.payload_max, rate)
         q = _deployed_queue(scenario, schedule, s.id, link)
         tt_queues.add(q)
@@ -355,18 +353,11 @@ def build_deployment(scenario: Scenario, schedule: Schedule) -> Deployment:
 # ---------------------------------------------------------------------------
 # closed-form latency
 
-def _stream_of(scenario: Scenario, stream: str) -> Stream:
-    for s in scenario.streams:
-        if s.id == stream:
-            return s
-    raise InvalidInputError(f"unknown stream {stream!r}")
-
-
 def e2e_per_slot(scenario: Scenario, stream: str, table: ShaperOffsetTable, payload: int) -> list[int]:
     """Closed-form end-to-end latency per slot: last-hop eligibility minus
     talker send time plus the payload's arrival lag on the last link (wire
     time and propagation)."""
-    s = _stream_of(scenario, stream)
+    s = scenario.stream(stream)
     first = table.row_for(stream, s.route[0])
     last = table.row_for(stream, s.route[-1])
     tail = scenario.arrival_lag_ns(s.route[-1], bytes_to_duration(payload, scenario.link(s.route[-1]).rate_bps))
@@ -390,7 +381,7 @@ def e2e_bounds_and_jitter(
 ) -> tuple[int, int, int]:
     """(max latency, min latency, jitter): maximum over slots at the
     largest payload, minimum over slots at the smallest, difference."""
-    s = _stream_of(scenario, stream)
+    s = scenario.stream(stream)
     hi = max(e2e_per_slot(scenario, stream, table, s.payload_max))
     lo = min(e2e_per_slot(scenario, stream, table, s.payload_min))
     return hi, lo, hi - lo
@@ -405,7 +396,7 @@ def latency_breakdown(
     link; each switch hop counts the switch's processing delay, its wait
     for eligibility and its outgoing link.  The talker link time plus the
     hop totals equals the closed form for the same payload and slot."""
-    s = _stream_of(scenario, stream)
+    s = scenario.stream(stream)
     elig = [table.row_for(stream, key).eligibility_offsets_ns[slot] for key in s.route]
     wire = [bytes_to_duration(payload, scenario.link(key).rate_bps) for key in s.route]
     delays = [scenario.link_delays_ns(key) for key in s.route]

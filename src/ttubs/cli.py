@@ -30,7 +30,7 @@ from .harness import (
     run_solver_study,
 )
 from .lstb import LstbLimits, lstb_solve
-from .model import load_scenario, save_scenario
+from .model import InvalidInputError, load_scenario, save_scenario
 from .schedule import load_schedule, save_schedule
 from .sim import AttackConfig
 from .smt import SolveRequest, solve
@@ -143,7 +143,14 @@ def main(argv: list[str] | None = None) -> int:
     rp.add_argument("--out", default=None)
 
     args = p.parse_args(argv)
+    try:
+        return _run(p, args)
+    except InvalidInputError as err:
+        # one line in argparse's error format, as for a malformed option
+        p.exit(2, f"{p.prog} {args.cmd}: error: {err}\n")
 
+
+def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.cmd == "gen-chain":
         scenario = gen_chain(ChainSpec(args.switches, args.streams, rng_seed=args.seed))
         if args.out:

@@ -14,8 +14,11 @@ Five constraint families are generated from a scenario:
                   queue-separated (3-way disjunction)
 
 Constraints are emitted fully ground: slot indices are expanded, all
-constants folded.  Offset variables are slot-relative; the ``slot * period``
-displacement appears only inside folded constants.  ``build_constraint_set``
+constants folded.  Every atom is ``x <op> k`` or ``x - y <op> k`` with
+``op`` one of ``>=`` and ``<=``, or ``x != y``: exactly the shapes of the
+SMT-LIB grammar the bundled solver reads (README, "External solver").
+Offset variables are slot-relative; the ``slot * period`` displacement
+appears only inside folded constants.  ``build_constraint_set``
 is the one place the system is built: it expands and indexes the frame
 instances once and shares them with the five family builders.  Builders
 iterate in scenario order, so identical scenarios yield identical
@@ -24,6 +27,7 @@ constraint lists.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -54,31 +58,23 @@ LinkKey = tuple[str, str]
 CATEGORIES = ("frame", "link", "flow", "e2e", "isolation")
 
 
+_OPS = {">=": operator.ge, "<=": operator.le, "!=": operator.ne}
+
+
 @dataclass(frozen=True)
 class Atom:
-    """Linear atom ``sum(coef * var) <op> const`` with integer coefficients.
+    """Integer atom ``x <op> const``, or ``x - y <op> const`` when ``y`` is
+    set.  ``op`` is ``>=`` or ``<=``, or ``!=`` for ``x != y`` (``const``
+    0)."""
 
-    ``op`` is one of ``>=``, ``<=``, ``!=``.
-    """
-
-    terms: tuple[tuple[str, int], ...]
+    x: str
+    y: str | None
     op: str
     const: int
 
     def holds(self, assignment: dict[str, int]) -> bool:
-        lhs = 0
-        for var, coef in self.terms:
-            try:
-                lhs += coef * assignment[var]
-            except KeyError:
-                raise InvalidInputError(f"unassigned variable {var}") from None
-        if self.op == ">=":
-            return lhs >= self.const
-        if self.op == "<=":
-            return lhs <= self.const
-        if self.op == "!=":
-            return lhs != self.const
-        raise InvalidInputError(f"unknown atom op {self.op}")
+        lhs = assignment[self.x] - (0 if self.y is None else assignment[self.y])
+        return _OPS[self.op](lhs, self.const)
 
 
 @dataclass(frozen=True)
@@ -149,10 +145,9 @@ class ConstraintSet:
         for qv in self.queue_vars:
             q = assignment[qv.name] = schedule.queue_of(qv.stream, qv.link, qv.domain_max + 1)
             if not 0 <= q <= qv.domain_max:
-                var = ((qv.name, 1),)
                 out.append(GroundConstraint(
                     "domain",
-                    ((Atom(var, ">=", 0), Atom(var, "<=", qv.domain_max)),),
+                    ((_ge(qv.name, None, 0), _le(qv.name, None, qv.domain_max)),),
                     f"domain[{qv.stream}@{qv.link[0]}->{qv.link[1]}: queue {q} not in 0..{qv.domain_max}]",
                 ))
         return out + [gc for gc in self.constraints if not gc.holds(assignment)]
@@ -182,31 +177,29 @@ class ConstraintCensus:
 #
 # ``by`` maps (stream, link) to that hop's instances in slot order; every
 # hop of a stream has ``hp / T`` of them, so slot m of one hop pairs with
-# slot m of any other hop of the same stream.  ``on_link`` maps each link
-# to the streams crossing it, in scenario order.
+# slot m of any other hop of the same stream.
 
 _Index = dict[tuple[str, LinkKey], list[FrameInstance]]
 
 
-def _ge(lhs: tuple[tuple[str, int], ...], const: int) -> Atom:
-    return Atom(lhs, ">=", const)
+def _ge(x: str, y: str | None, const: int) -> Atom:
+    return Atom(x, y, ">=", const)
 
 
-def _le(lhs: tuple[tuple[str, int], ...], const: int) -> Atom:
-    return Atom(lhs, "<=", const)
+def _le(x: str, y: str | None, const: int) -> Atom:
+    return Atom(x, y, "<=", const)
 
 
 def _frame_constraints(instances: list[FrameInstance]) -> list[GroundConstraint]:
     """One constraint per frame instance: ``0 <= phi <= T - L``."""
     out = []
     for fi in instances:
-        var = ((fi.var_name, 1),)
-        atoms = (_ge(var, 0), _le(var, fi.period_ns - fi.duration_ns))
+        atoms = (_ge(fi.var_name, None, 0), _le(fi.var_name, None, fi.period_ns - fi.duration_ns))
         out.append(GroundConstraint("frame", (atoms,), f"frame[{fi.stream}@{fi.link[0]}->{fi.link[1]}#{fi.slot}]"))
     return out
 
 
-def _link_constraints(scenario: Scenario, on_link: dict[LinkKey, list[Stream]], by: _Index) -> list[GroundConstraint]:
+def _link_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
     """Pairwise non-overlap of reserved windows on each link.
 
     For streams i, j sharing a link and every slot pair (a, b):
@@ -214,15 +207,15 @@ def _link_constraints(scenario: Scenario, on_link: dict[LinkKey, list[Stream]], 
     """
     out = []
     for ln in scenario.links:
-        for si, sj in combinations(on_link[ln.key], 2):
+        for si, sj in combinations(scenario.streams_on_link(ln.key), 2):
             for fi in by[(si.id, ln.key)]:
                 for fj in by[(sj.id, ln.key)]:
                     a_disp = fi.slot * fi.period_ns
                     b_disp = fj.slot * fj.period_ns
                     # i starts after j ends:  phi_i + aT >= phi_j + bT + Lj
-                    first = _ge(((fi.var_name, 1), (fj.var_name, -1)), b_disp + fj.duration_ns - a_disp)
+                    first = _ge(fi.var_name, fj.var_name, b_disp + fj.duration_ns - a_disp)
                     # j starts after i ends
-                    second = _ge(((fj.var_name, 1), (fi.var_name, -1)), a_disp + fi.duration_ns - b_disp)
+                    second = _ge(fj.var_name, fi.var_name, a_disp + fi.duration_ns - b_disp)
                     out.append(
                         GroundConstraint(
                             "link",
@@ -245,7 +238,7 @@ def _flow_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
             for fu, fd in zip(up, by[(s.id, down_key)]):
                 # both offsets displace by the same period index, so the
                 # slot terms cancel and only the arrival lag remains
-                atom = _ge(((fd.var_name, 1), (fu.var_name, -1)), lag)
+                atom = _ge(fd.var_name, fu.var_name, lag)
                 out.append(
                     GroundConstraint(
                         "flow",
@@ -265,7 +258,7 @@ def _e2e_constraints(scenario: Scenario, by: _Index) -> list[GroundConstraint]:
         slack = s.e2e_deadline_ns - scenario.arrival_lag_ns(s.route[-1], last[0].duration_ns)
         for ff, fl in zip(by[(s.id, s.route[0])], last):
             # the period displacement cancels between first and last hop
-            atom = _le(((fl.var_name, 1), (ff.var_name, -1)), slack)
+            atom = _le(fl.var_name, ff.var_name, slack)
             out.append(GroundConstraint("e2e", ((atom,),), f"e2e[{s.id}#{ff.slot}->{fl.slot}]"))
     return out
 
@@ -284,9 +277,7 @@ def _arrivals(scenario: Scenario, s: Stream, egress: LinkKey, by: _Index) -> lis
     return [(fu.var_name, fu.slot * s.period_ns + lag) for fu in ups]
 
 
-def _isolation_constraints(
-    scenario: Scenario, on_link: dict[LinkKey, list[Stream]], by: _Index, queue_vars: list[QueueVar]
-) -> list[GroundConstraint]:
+def _isolation_constraints(scenario: Scenario, by: _Index, queue_vars: list[QueueVar]) -> list[GroundConstraint]:
     """Egress-queue isolation (``wa`` mode only): for each egress link and
     stream pair, either one stream's frame arrives at the device only after
     the other's has left the queue (left = reached its egress offset), or
@@ -295,21 +286,21 @@ def _isolation_constraints(
     out = []
     queue_name = {(q.stream, q.link): q.name for q in queue_vars}
     for ln in scenario.links:
-        streams = on_link[ln.key]
+        streams = scenario.streams_on_link(ln.key)
         arrivals = {s.id: _arrivals(scenario, s, ln.key, by) for s in streams}
         for si, sj in combinations(streams, 2):
             separated: tuple[tuple[Atom, ...], ...] = ()
             if (si.id, ln.key) in queue_name:  # switch egress: queues are variables
                 qi, qj = queue_name[(si.id, ln.key)], queue_name[(sj.id, ln.key)]
-                separated = ((Atom(((qi, 1), (qj, -1)), "!=", 0),),)
+                separated = ((Atom(qi, qj, "!=", 0),),)
             for fi in by[(si.id, ln.key)]:
                 vi, ci = arrivals[si.id][fi.slot]
                 for fj in by[(sj.id, ln.key)]:
                     vj, cj = arrivals[sj.id][fj.slot]
                     # j arrives only after i left the queue
-                    d1 = _ge(((vj, 1), (fi.var_name, -1)), fi.slot * fi.period_ns - cj)
+                    d1 = _ge(vj, fi.var_name, fi.slot * fi.period_ns - cj)
                     # i arrives only after j left the queue
-                    d2 = _ge(((vi, 1), (fj.var_name, -1)), fj.slot * fj.period_ns - ci)
+                    d2 = _ge(vi, fj.var_name, fj.slot * fj.period_ns - ci)
                     out.append(
                         GroundConstraint(
                             "isolation",
@@ -328,7 +319,6 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
     by: _Index = {}
     for fi in instances:
         by.setdefault((fi.stream, fi.link), []).append(fi)
-    on_link = {ln.key: [s for s in scenario.streams if ln.key in s.route] for ln in scenario.links}
 
     # queue variables live on switch egress hops
     queue_vars = []
@@ -341,12 +331,12 @@ def build_constraint_set(scenario: Scenario, mode: str = "nfic") -> ConstraintSe
 
     constraints = (
         _frame_constraints(instances)
-        + _link_constraints(scenario, on_link, by)
+        + _link_constraints(scenario, by)
         + _flow_constraints(scenario, by)
         + _e2e_constraints(scenario, by)
     )
     if mode == "wa":
-        constraints += _isolation_constraints(scenario, on_link, by, queue_vars)
+        constraints += _isolation_constraints(scenario, by, queue_vars)
     return ConstraintSet(mode, instances, queue_vars, constraints)
 
 

@@ -124,21 +124,36 @@ def gen_chain(spec: ChainSpec) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# census study
+# studies: a cell is one (switch count, stream count) pair
+
+def _cell_scenario(plan: ExperimentPlan, switches: int, streams: int, rep: int) -> Scenario:
+    """The scenario of one repetition of a study cell; both studies draw
+    the same ones."""
+    return gen_chain(ChainSpec(switches, streams, rng_seed=plan.rng_seed + 1000 * switches + streams + rep))
+
+
+def _cell_columns(switches: int, streams: int) -> dict:
+    return {"devices": switches * (STATIONS_PER_SWITCH + 1), "streams": streams}
+
+
+def _run_cells(plan: ExperimentPlan, work, cells: list[tuple]) -> list:
+    """``work`` of each cell, in cell order: in a pool of ``plan.workers``
+    processes when there is more than one of each."""
+    if plan.workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            return list(pool.map(work, cells))
+    return [work(c) for c in cells]
+
 
 def _census_cell(args) -> dict:
-    switches, streams, reps, seed = args
+    plan, switches, streams = args
+    reps = plan.repetitions
     sums = {c: 0 for c in CATEGORIES}
     for rep in range(reps):
-        sc = gen_chain(ChainSpec(switches, streams, rng_seed=seed + rep))
-        c = census(sc, "wa").as_dict()
+        c = census(_cell_scenario(plan, switches, streams, rep), "wa").as_dict()
         for cat in CATEGORIES:
             sums[cat] += c[cat]
-    row = {
-        "devices": switches * (STATIONS_PER_SWITCH + 1),
-        "streams": streams,
-        "repetitions": reps,
-    }
+    row = {**_cell_columns(switches, streams), "repetitions": reps}
     for cat in CATEGORIES:
         row[f"mean_{cat}"] = sums[cat] / reps
     row["mean_total"] = sum(sums.values()) / reps
@@ -149,28 +164,17 @@ def _census_cell(args) -> dict:
 def run_census_study(plan: ExperimentPlan) -> list[dict]:
     """Mean per-category constraint counts over seeded repetitions for each
     (switch count, stream count) cell."""
-    cells = [
-        (sw, st, plan.repetitions, plan.rng_seed + 1000 * sw + st)
-        for sw in plan.switch_counts
-        for st in plan.stream_counts
-    ]
-    if plan.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            return list(pool.map(_census_cell, cells))
-    return [_census_cell(c) for c in cells]
+    cells = [(plan, sw, st) for sw in plan.switch_counts for st in plan.stream_counts]
+    return _run_cells(plan, _census_cell, cells)
 
-
-# ---------------------------------------------------------------------------
-# solver study
 
 def _solver_cell(args) -> list[dict]:
-    switches, streams, rep, seed, timeout_s = args
-    sc = gen_chain(ChainSpec(switches, streams, rng_seed=seed))
+    plan, switches, streams, rep = args
+    sc = _cell_scenario(plan, switches, streams, rep)
 
     def row(engine: str, mode: str, res, census_total, backjumps) -> dict:
         return {
-            "devices": switches * (STATIONS_PER_SWITCH + 1),
-            "streams": streams,
+            **_cell_columns(switches, streams),
             "rep": rep,
             "engine": engine,
             "mode": mode,
@@ -182,10 +186,10 @@ def _solver_cell(args) -> list[dict]:
 
     rows = []
     for mode in ("nfic", "wa"):
-        out = solve(SolveRequest(sc, mode, timeout_s=timeout_s))
+        out = solve(SolveRequest(sc, mode, timeout_s=plan.timeout_s))
         rows.append(row("smt", mode, out, out.constraint_census.total, ""))
     for mode in ("nfic", "fic"):
-        res = lstb_solve(sc, mode, LstbLimits(wall_clock_s=timeout_s))
+        res = lstb_solve(sc, mode, LstbLimits(wall_clock_s=plan.timeout_s))
         rows.append(row("lstb", mode, res, "", res.backjumps))
     return rows
 
@@ -196,20 +200,12 @@ def run_solver_study(plan: ExperimentPlan) -> list[dict]:
     per engine/mode/repetition.  Each solve owns its scenario and child
     process, so a timeout in one cell never corrupts another."""
     cells = [
-        (sw, st, rep, plan.rng_seed + 1000 * sw + st + rep, plan.timeout_s)
+        (plan, sw, st, rep)
         for sw in plan.switch_counts
         for st in plan.stream_counts
         for rep in range(plan.repetitions)
     ]
-    rows: list[dict] = []
-    if plan.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            for chunk in pool.map(_solver_cell, cells):
-                rows.extend(chunk)
-    else:
-        for cell in cells:
-            rows.extend(_solver_cell(cell))
-    return rows
+    return [row for rows in _run_cells(plan, _solver_cell, cells) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +260,7 @@ class ReplayReport:
 
     @property
     def requirements_met(self) -> bool:
-        return self.validation_ok and all(map(_met, self.metrics.values()))
-
-
-def _met(m: StreamMetrics) -> bool:
-    """A stream's traffic requirements: no deadline miss, jitter in bound."""
-    return m.deadline_violations == 0 and not m.jitter_violation
+        return self.validation_ok and all(m.requirements_met for m in self.metrics.values())
 
 
 def replay(
@@ -378,7 +369,7 @@ def report_metrics(reports: list[ReplayReport]) -> str:
             "stream": sid,
             "e2e_max_us": _us(m.e2e_max_ns),
             "jitter_us": _us(m.jitter_ns),
-            "requirements_met": int(_met(m)),
+            "requirements_met": int(m.requirements_met),
         }
         for rep in reports
         for sid, m in rep.metrics.items()

@@ -40,16 +40,10 @@ class LstbResult:
 def order_frames(scenario: Scenario) -> list[FrameInstance]:
     """Placement order: period ascending, stream id, hop, slot.  Hop-major
     ordering keeps every upstream frame placed before its downstream one,
-    so hop-ordering lower bounds are always available."""
-    instances = expand_frame_instances(scenario)
-    by_stream: dict[str, list[FrameInstance]] = {}
-    for fi in instances:
-        by_stream.setdefault(fi.stream, []).append(fi)
-    stream_rank = {s.id: (s.period_ns, s.id) for s in scenario.streams}
-    out: list[FrameInstance] = []
-    for sid in sorted(by_stream, key=lambda sid: stream_rank[sid]):
-        out.extend(sorted(by_stream[sid], key=lambda fi: (fi.hop, fi.slot)))
-    return out
+    so hop-ordering lower bounds are always available.  The expansion
+    already lists each stream's frames by hop, then slot, so a stable sort
+    by (period, stream) keeps that order."""
+    return sorted(expand_frame_instances(scenario), key=lambda fi: (fi.period_ns, fi.stream))
 
 
 def _queue_map(scenario: Scenario, mode: str) -> dict[tuple[str, LinkKey], int]:
@@ -75,8 +69,6 @@ class _Search:
     """Static per-frame data plus the mutable partial assignment."""
 
     def __init__(self, scenario: Scenario, mode: str, frames: list[FrameInstance]):
-        self.scenario = scenario
-        self.mode = mode
         self.frames = frames
         self.queues = _queue_map(scenario, mode)
         n = len(frames)
@@ -85,7 +77,6 @@ class _Search:
         self.conf: list[set[int]] = [set() for _ in range(n)]
         self.backjumps = 0
 
-        streams = {s.id: s for s in scenario.streams}
         index_of = {(fi.stream, fi.link, fi.slot): i for i, fi in enumerate(frames)}
         self.on_link: dict[LinkKey, list[int]] = {}
         self.slot_base = [fi.slot * fi.period_ns for fi in frames]
@@ -99,7 +90,7 @@ class _Search:
         reach = [0] * n  # least time from the first hop's start to this start
         for i, fi in enumerate(frames):
             self.on_link.setdefault(fi.link, []).append(i)
-            s = streams[fi.stream]
+            s = scenario.stream(fi.stream)
             if fi.hop > 0:
                 up_key = s.route[fi.hop - 1]
                 up = index_of[(fi.stream, up_key, fi.slot)]
@@ -132,6 +123,7 @@ class _Search:
         sweep (the conflict attribution for backjumping).  ``None`` when
         the domain is exhausted."""
         fi = self.frames[i]
+        base = self.slot_base[i]
         blockers: set[int] = set()
         hi = self.window_hi[i]
         if hi < 0:
@@ -155,7 +147,6 @@ class _Search:
         if self.iso_checked[i]:
             my_arrival = self.arrival_at(i)
             my_queue = self.queue_of[i]
-            base = self.slot_base[i]
             for j in self.on_link[fi.link]:
                 if j == i or self.offsets[j] is None:
                     continue
@@ -171,7 +162,6 @@ class _Search:
                     if uj is not None:
                         blockers.add(uj)
 
-        base = self.slot_base[i]
         occupied = []
         for j in self.on_link[fi.link]:
             if j == i or self.offsets[j] is None:

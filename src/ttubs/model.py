@@ -112,6 +112,16 @@ class Scenario:
     def _link_index(self) -> dict[tuple[str, str], Link]:
         return {ln.key: ln for ln in self.links}
 
+    def stream(self, stream_id: str) -> Stream:
+        try:
+            return self._stream_index[stream_id]
+        except KeyError:
+            raise InvalidInputError(f"unknown stream {stream_id!r}") from None
+
+    @cached_property
+    def _stream_index(self) -> dict[str, Stream]:
+        return {s.id: s for s in self.streams}
+
     @cached_property
     def _kinds(self) -> dict[str, str]:
         return dict(self.nodes)
@@ -145,8 +155,17 @@ class Scenario:
         ``sync_precision_ns`` as margin for the forwarding device's clock."""
         return self.arrival_lag_ns(key, wire_ns) + self.sync_precision_ns
 
-    def streams_on_link(self, key: tuple[str, str]) -> list[Stream]:
-        return [s for s in self.streams if key in s.route]
+    def streams_on_link(self, key: tuple[str, str]) -> tuple[Stream, ...]:
+        """The streams whose route crosses link ``key``, in scenario order."""
+        return self._streams_by_link.get(key, ())
+
+    @cached_property
+    def _streams_by_link(self) -> dict[tuple[str, str], tuple[Stream, ...]]:
+        on: dict[tuple[str, str], list[Stream]] = {}
+        for s in self.streams:
+            for key in s.route:
+                on.setdefault(key, []).append(s)
+        return {key: tuple(streams) for key, streams in on.items()}
 
     @cached_property
     def hyper_period_ns(self) -> int:

@@ -223,6 +223,11 @@ class StreamMetrics:
         """Frames the stream's shaped queues dropped: timed out or displaced."""
         return self.drops["timeout_discarded"] + self.drops["displaced"]
 
+    @property
+    def requirements_met(self) -> bool:
+        """The stream's traffic requirements: no deadline miss, jitter in bound."""
+        return self.deadline_violations == 0 and not self.jitter_violation
+
 
 @dataclass
 class SimReport:

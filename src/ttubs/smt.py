@@ -77,17 +77,10 @@ def default_solver_command() -> list[str]:
 # encoding
 
 def _atom_sexpr(atom: Atom) -> str:
-    terms = atom.terms
     if atom.op == "!=":
-        if len(terms) == 2 and terms[0][1] == 1 and terms[1][1] == -1 and atom.const == 0:
-            return f"(distinct {terms[0][0]} {terms[1][0]})"
-        raise InvalidInputError(f"unsupported disequality shape: {atom}")
-    rhs = int_literal(atom.const)
-    if len(terms) == 1 and terms[0][1] == 1:
-        return f"({atom.op} {terms[0][0]} {rhs})"
-    if len(terms) == 2 and terms[0][1] == 1 and terms[1][1] == -1:
-        return f"({atom.op} (- {terms[0][0]} {terms[1][0]}) {rhs})"
-    raise InvalidInputError(f"unsupported atom shape: {atom}")
+        return f"(distinct {atom.x} {atom.y})"
+    term = atom.x if atom.y is None else f"(- {atom.x} {atom.y})"
+    return f"({atom.op} {term} {int_literal(atom.const)})"
 
 
 def _conj_sexpr(conj: tuple[Atom, ...]) -> str:

@@ -54,7 +54,7 @@ def test_link_constraints_adas(adas):
 def test_link_constraint_rejects_equal_offsets(adas):
     cons = _family(adas, "link")
     c = next(x for x in cons if "cam1#0 vs cam2#0" in x.label and "SW2->SW1" in x.label)
-    vars_used = {v for conj in c.disjuncts for a in conj for v, _ in a.terms}
+    vars_used = {v for conj in c.disjuncts for a in conj for v in (a.x, a.y)} - {None}
     same = {v: 10_000 for v in vars_used}
     assert not c.holds(same)
 
@@ -96,7 +96,7 @@ def test_isolation_constraints_adas(adas):
     # different queues satisfy a pair regardless of timing
     c = next(x for x in wa if "SW1->CentralHost: cam1#0 vs cam2#0" in x.label)
     assert len(c.disjuncts) == 3
-    assignment = {v: 0 for conj in c.disjuncts for a in conj for v, _ in a.terms}
+    assignment = {v: 0 for conj in c.disjuncts for a in conj for v in (a.x, a.y) if v is not None}
     assignment["q_cam1_SW1__CentralHost"] = 4
     assignment["q_cam2_SW1__CentralHost"] = 5
     assert c.holds(assignment)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,14 @@ def test_solver_study_rows():
     assert {r["mode"] for r in rows} == {"wa", "nfic", "fic"}
     smt_rows = [r for r in rows if r["engine"] == "smt"]
     assert all(r["status"] in ("sat", "unsat", "timeout") for r in smt_rows)
+
+
+def test_both_studies_draw_one_scenario_per_cell():
+    plan = ExperimentPlan((1, 2), (3, 5), repetitions=1, timeout_s=60, rng_seed=7, workers=1)
+    census_rows = run_census_study(plan)
+    wa = [r for r in run_solver_study(plan) if (r["engine"], r["mode"]) == ("smt", "wa")]
+    assert [(r["devices"], r["streams"]) for r in wa] == [(r["devices"], r["streams"]) for r in census_rows]
+    assert [r["census_total"] for r in wa] == [r["mean_total"] for r in census_rows]
 
 
 def test_replay_table3_ttubs():
@@ -211,6 +223,24 @@ def test_cli_attack_switch_must_be_the_ingress_far_end(capsys):
         main(["replay", "table3", "--attack", "drop,SW1,AV2>SW2,21,1,cam2", "--duration-s", "0.002"])
     assert exit_.value.code == 2
     assert "switch SW1 is not the far end of ingress AV2->SW2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "-1", "--duration-s", "1"], "rng_seed must be >= 0"),
+        (["--duration-s", "0.00001"], "simulation shorter than one hyper-period"),
+    ],
+)
+def test_cli_reports_invalid_input_in_one_line(argv, message):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttubs.cli", "replay", "table3", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"ttubs replay: error: {message}\n"
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_cli_census_csv(tmp_path, capsys):

@@ -3,9 +3,10 @@ import pytest
 from ttubs.constraints import validate_schedule
 from ttubs.harness import ChainSpec, gen_chain
 from ttubs.lstb import LstbLimits, lstb_solve, order_frames
-from ttubs.model import Link, Scenario, Stream
+from ttubs.model import Link, Scenario, Stream, expand_frame_instances
 
 US = 1_000
+MS = 1_000_000
 
 
 def _direct(streams):
@@ -60,6 +61,26 @@ def test_order_shortest_period_first(adas):
     assert periods == sorted(periods)
     cam1 = [f for f in frames if f.stream == "cam1"]
     assert [(f.hop, f.slot) for f in cam1] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def _grouped_order(scenario):
+    """The placement order as a group-then-sort: streams by (period, id),
+    then each stream's frames by (hop, slot)."""
+    by_stream = {}
+    for fi in expand_frame_instances(scenario):
+        by_stream.setdefault(fi.stream, []).append(fi)
+    rank = {s.id: (s.period_ns, s.id) for s in scenario.streams}
+    out = []
+    for sid in sorted(by_stream, key=rank.__getitem__):
+        out.extend(sorted(by_stream[sid], key=lambda fi: (fi.hop, fi.slot)))
+    return out
+
+
+def test_order_frames_matches_grouped_sort(adas):
+    periods = (5 * MS, 10 * MS, 20 * MS)
+    for sc in [adas] + [gen_chain(ChainSpec(3, 12, rng_seed=seed, periods_ns=periods)) for seed in range(4)]:
+        assert len({s.period_ns for s in sc.streams}) > 1
+        assert order_frames(sc) == _grouped_order(sc)
 
 
 def test_first_gap_end_after_occupied_window(adas):

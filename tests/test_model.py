@@ -4,6 +4,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
+from ttubs.harness import ChainSpec, gen_chain
 from ttubs.model import (
     N_QUEUES,
     InvalidInputError,
@@ -124,6 +125,27 @@ def test_expand_quarter_period():
 
 def test_expand_deterministic(adas):
     assert expand_frame_instances(adas) == expand_frame_instances(adas)
+
+
+def test_stream_by_id(adas):
+    for s in adas.streams:
+        assert adas.stream(s.id) is s
+    with pytest.raises(InvalidInputError) as err:
+        adas.stream("cam9")
+    assert str(err.value) == "unknown stream 'cam9'"
+
+
+def test_streams_on_link_in_scenario_order(adas):
+    chains = [(1, 2, 1), (3, 6, 2), (5, 30, 3)]
+    scenarios = [adas] + [gen_chain(ChainSpec(sw, st, rng_seed=seed)) for sw, st, seed in chains]
+    uncrossed = 0
+    for sc in scenarios:
+        for ln in sc.links:
+            expected = [s for s in sc.streams if ln.key in s.route]
+            assert sc.streams_on_link(ln.key) == tuple(expected)
+            uncrossed += not expected
+        assert sc.streams_on_link(("nowhere", "else")) == ()
+    assert uncrossed > 0
 
 
 def test_validate_adas_ok(adas):

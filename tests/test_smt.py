@@ -48,15 +48,6 @@ def test_encode_deterministic(adas):
     assert encode(cs1) == encode(cs2)
 
 
-@pytest.mark.parametrize("terms", [(("x", 2),), (("x", 1), ("y", 1)), (("x", 1), ("y", -1), ("z", 1))])
-def test_encode_rejects_atom_shapes_the_builder_never_emits(adas, terms):
-    cs = build_constraint_set(adas, "nfic")
-    odd = constraints.GroundConstraint("frame", ((constraints.Atom(terms, "<=", 5),),), "odd")
-    cs.constraints.append(odd)
-    with pytest.raises(InvalidInputError, match="unsupported atom shape"):
-        encode(cs)
-
-
 def test_encode_empty_scenario():
     sc = Scenario((("A", "end-station"),), (), ())
     text = encode(build_constraint_set(sc, "nfic"))
@@ -319,7 +310,7 @@ def test_bundled_solver_one_binary_per_nfic_link_assertion(milp_calls):
     top = {fi.var_name: fi.period_ns - fi.duration_ns for fi in cs.instances}
 
     def undecided(atom):
-        (vi, _), (vj, _) = atom.terms
+        vi, vj = atom.x, atom.y
         return -top[vj] < atom.const <= top[vi]
 
     links = [gc for gc in cs.constraints if gc.category == "link"]
@@ -426,9 +417,9 @@ def test_tokenize_matches_spec(text):
 def _ge(atom):
     """An Atom as the bundled solver's >=-disjuncts: one for >= and <=, two
     for !=; a variable minus itself leaves no coefficient."""
-    coeffs = {}
-    for v, c in atom.terms:
-        coeffs[v] = coeffs.get(v, 0) + c
+    coeffs = {atom.x: 1}
+    if atom.y is not None:
+        coeffs[atom.y] = coeffs.get(atom.y, 0) - 1
     terms = tuple(sorted((v, c) for v, c in coeffs.items() if c))
     neg = tuple((v, -c) for v, c in terms)
     if atom.op == ">=":
