@@ -12,7 +12,7 @@ from ttubs.artifacts import (
     build_gcl,
     build_shaper_offset_table,
     e2e_bounds_and_jitter,
-    e2e_closed_form,
+    e2e_per_slot,
     latency_breakdown,
 )
 from ttubs.fixtures import adas_scenario, fixture_schedule
@@ -42,5 +42,5 @@ for i, h in enumerate(hops, 1):
     print(f"  hop {i}: shaped-queue wait {ns_to_us_str(h.shaped_queue_ns):>6s} us, "
           f"transmission {ns_to_us_str(h.transmission_ns)} us")
 total = talker_tx + sum(h.total_ns for h in hops)
-assert total == e2e_closed_form(scenario, "cam1", table, 1200)
+assert total == e2e_per_slot(scenario, "cam1", table, 1200)[0]
 print(f"  total {ns_to_us_str(total)} us (equals the closed form)")

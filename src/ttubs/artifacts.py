@@ -42,8 +42,6 @@ __all__ = [
     "build_shaper_offset_table",
     "build_gcl",
     "build_deployment",
-    "schedule_from_table",
-    "e2e_closed_form",
     "e2e_per_slot",
     "e2e_bounds_and_jitter",
     "latency_breakdown",
@@ -227,19 +225,12 @@ class LatencyBreakdown:
 
     shaped_queue_ns: int
     forwarding_ns: int
-    shared_queue_ns: int
     transmission_ns: int
     propagation_ns: int
 
     @property
     def total_ns(self) -> int:
-        return (
-            self.shaped_queue_ns
-            + self.forwarding_ns
-            + self.shared_queue_ns
-            + self.transmission_ns
-            + self.propagation_ns
-        )
+        return self.shaped_queue_ns + self.forwarding_ns + self.transmission_ns + self.propagation_ns
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +249,6 @@ def build_shaper_offset_table(scenario: Scenario, schedule: Schedule) -> ShaperO
             ingress = s.route[hop - 1] if hop > 0 else None
             rows.append(ShaperRow(key[0], key, ingress, s.id, offs, cycle))
     return ShaperOffsetTable(tuple(rows))
-
-
-def schedule_from_table(scenario: Scenario, table: ShaperOffsetTable) -> Schedule:
-    """Inverse of :func:`build_shaper_offset_table` (offsets only; queue
-    assignments are not part of the table)."""
-    sched = Schedule()
-    for s in scenario.streams:
-        for key in s.route:
-            row = table.row_for(s.id, key)
-            for slot, off in enumerate(row.eligibility_offsets_ns):
-                sched.offsets[(s.id, key, slot)] = off
-    return sched
 
 
 def _deployed_queue(scenario: Scenario, schedule: Schedule, stream: str, link: LinkKey) -> int:
@@ -367,15 +346,6 @@ def e2e_per_slot(scenario: Scenario, stream: str, table: ShaperOffsetTable, payl
     ]
 
 
-def e2e_closed_form(
-    scenario: Scenario, stream: str, table: ShaperOffsetTable, payload: int, slot: int | None = None
-) -> int:
-    per_slot = e2e_per_slot(scenario, stream, table, payload)
-    if slot is not None:
-        return per_slot[slot]
-    return max(per_slot)
-
-
 def e2e_bounds_and_jitter(
     scenario: Scenario, stream: str, table: ShaperOffsetTable
 ) -> tuple[int, int, int]:
@@ -404,7 +374,6 @@ def latency_breakdown(
         LatencyBreakdown(
             shaped_queue_ns=elig[h] - elig[h - 1] - scenario.arrival_lag_ns(s.route[h - 1], wire[h - 1]),
             forwarding_ns=delays[h - 1][1],
-            shared_queue_ns=0,
             transmission_ns=wire[h],
             propagation_ns=delays[h][0],
         )

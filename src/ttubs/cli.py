@@ -7,7 +7,9 @@ study-solvers, report.  All outputs are CSV or JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -36,6 +38,19 @@ from .sim import AttackConfig
 from .smt import SolveRequest, solve
 
 
+NS_PER_S = 1_000_000_000
+
+
+def _ns(text: str, ns_per_unit: int = NS_PER_S) -> int:
+    """Whole nanoseconds of ``text``, a time in seconds (or in units of
+    ``ns_per_unit`` ns).  A time that is not finite or is negative is an
+    argparse error."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"time {text!r} must be finite and >= 0")
+    return int(value * ns_per_unit)
+
+
 def _parse_attack(text: str) -> AttackConfig:
     """type,switch,src>dst,start_us,count[,delay_us][,stream] — attack type
     1/drop discards, 2/delay holds for delay_us; switch must be dst."""
@@ -50,7 +65,7 @@ def _parse_attack(text: str) -> AttackConfig:
     src, _, dst = parts[2].partition(">")
     if parts[1] != dst:
         raise argparse.ArgumentTypeError(f"switch {parts[1]} is not the far end of ingress {src}->{dst}")
-    delay_us = float(parts[5]) if kind == "delay" and len(parts) > 5 else 0.0
+    delay = parts[5] if kind == "delay" and len(parts) > 5 else "0"
     stream = None
     if kind == "delay" and len(parts) > 6:
         stream = parts[6]
@@ -59,9 +74,9 @@ def _parse_attack(text: str) -> AttackConfig:
     return AttackConfig(
         ingress=(src, dst),
         attack_type=kind,
-        startup_time_ns=int(float(parts[3]) * 1000),
+        startup_time_ns=_ns(parts[3], 1000),
         frame_count=int(parts[4]),
-        delay_time_ns=int(delay_us * 1000),
+        delay_time_ns=_ns(delay, 1000),
         match_stream=stream,
     )
 
@@ -98,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--engine", choices=["smt", "lstb"], default="smt")
     s.add_argument("--mode", choices=["wa", "nfic", "fic"], default="nfic")
     s.add_argument("--solver-cmd", default=None, help="external solver command (smt engine)")
-    s.add_argument("--timeout-s", type=float, default=300.0)
+    s.add_argument("--timeout-s", type=_ns, default="300", dest="timeout_ns", metavar="SECONDS")
     s.add_argument("--out", default=None)
 
     m = sub.add_parser("simulate", help="validate, deploy and simulate a schedule")
@@ -113,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--egress", choices=["tas", "ttubs"], default="ttubs")
         q.add_argument("--attack", action="append", default=[], type=_parse_attack)
         q.add_argument("--seed", type=int, default=1)
-        q.add_argument("--duration-s", type=float, default=10.0)
+        q.add_argument("--duration-s", type=_ns, default="10", dest="duration_ns", metavar="SECONDS")
         q.add_argument("--trace", default=None, help="write the event trace CSV here")
         q.add_argument("--out", default=None, help="write per-stream metrics CSV here")
 
@@ -129,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     ss.add_argument("--switches", type=_int_list, default=(2, 3, 4, 5))
     ss.add_argument("--streams", type=_int_list, default=(5, 10, 15, 20, 25))
     ss.add_argument("--reps", type=int, default=5, help="repetitions per cell (the paper used 50)")
-    ss.add_argument("--timeout-s", type=float, default=300.0)
+    ss.add_argument("--timeout-s", type=_ns, default="300", dest="timeout_ns", metavar="SECONDS")
     ss.add_argument("--seed", type=int, default=0)
     ss.add_argument("--workers", type=int, default=4)
     ss.add_argument("--out", default=None)
@@ -138,14 +153,14 @@ def main(argv: list[str] | None = None) -> int:
     rp.add_argument("--census", default=None, help="census study CSV to pivot")
     rp.add_argument("--replay-matrix", action="store_true",
                     help="replay table3 under both egress modes and fault cases")
-    rp.add_argument("--duration-s", type=float, default=10.0)
+    rp.add_argument("--duration-s", type=_ns, default="10", dest="duration_ns", metavar="SECONDS")
     rp.add_argument("--seed", type=int, default=1)
     rp.add_argument("--out", default=None)
 
     args = p.parse_args(argv)
     try:
         return _run(p, args)
-    except InvalidInputError as err:
+    except (InvalidInputError, OSError) as err:
         # one line in argparse's error format, as for a malformed option
         p.exit(2, f"{p.prog} {args.cmd}: error: {err}\n")
 
@@ -180,12 +195,12 @@ def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.engine == "smt":
             mode = "wa" if args.mode == "fic" else args.mode
             cmd = shlex.split(args.solver_cmd) if args.solver_cmd else None
-            out = solve(SolveRequest(scenario, mode, args.timeout_s, cmd))
+            out = solve(SolveRequest(scenario, mode, args.timeout_ns / NS_PER_S, cmd))
             print(f"status={out.status} time_s={out.solve_time_s:.3f} constraints={out.constraint_census.total}")
             sched = out.schedule
         else:
             mode = "fic" if args.mode in ("fic", "wa") else "nfic"
-            res = lstb_solve(scenario, mode, LstbLimits(wall_clock_s=args.timeout_s))
+            res = lstb_solve(scenario, mode, LstbLimits(wall_clock_s=args.timeout_ns / NS_PER_S))
             print(f"status={res.status} time_s={res.solve_time_s:.3f} backjumps={res.backjumps}")
             sched = res.schedule
         if sched is not None and args.out:
@@ -194,13 +209,13 @@ def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0 if sched is not None else 1
 
     if args.cmd in ("simulate", "replay"):
-        duration = int(args.duration_s * 1_000_000_000)
         if args.cmd == "simulate":
             scenario, sched = load_scenario(args.scenario), load_schedule(args.schedule)
-            rep = replay(scenario, sched, args.mode, args.egress, tuple(args.attack), args.seed, duration, args.trace)
+            faults = tuple(args.attack)
+            rep = replay(scenario, sched, args.mode, args.egress, faults, args.seed, args.duration_ns, args.trace)
         else:
             faults = fault_preset(args.fault) + tuple(args.attack)
-            rep = replay_fixture(args.fixture, args.egress, faults, args.seed, duration, args.trace)
+            rep = replay_fixture(args.fixture, args.egress, faults, args.seed, args.duration_ns, args.trace)
         if not rep.validation_ok:
             print(f"schedule invalid ({len(rep.violations)} violations), first: {rep.violations[0].label}")
             return 1
@@ -230,7 +245,7 @@ def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             switch_counts=args.switches,
             stream_counts=args.streams,
             repetitions=args.reps,
-            timeout_s=args.timeout_s,
+            timeout_s=args.timeout_ns / NS_PER_S,
             rng_seed=args.seed,
             workers=args.workers,
         )
@@ -239,25 +254,19 @@ def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.cmd == "report":
         if args.census:
-            import csv as _csv
-
+            columns = {"devices": int, "streams": int, "mean_total": float}
             with open(args.census) as fh:
-                rows = []
-                for row in _csv.DictReader(fh):
-                    rows.append(
-                        {
-                            "devices": int(row["devices"]),
-                            "streams": int(row["streams"]),
-                            "mean_total": float(row["mean_total"]),
-                        }
-                    )
+                reader = csv.DictReader(fh)
+                missing = [c for c in columns if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise InvalidInputError(f"{args.census} has no {missing[0]!r} column")
+                rows = [{c: read(row[c]) for c, read in columns.items()} for row in reader]
             _write(args.out, report_census(rows))
             return 0
         if args.replay_matrix:
-            duration = int(args.duration_s * 1_000_000_000)
             cases = [(e, f) for e in ("tas", "ttubs") for f in ("none", "loss", "timeout")]
             cases.append(("ttubs", "timeout-long"))
-            reports = [replay_fixture("table3", e, fault_preset(f), args.seed, duration) for e, f in cases]
+            reports = [replay_fixture("table3", e, fault_preset(f), args.seed, args.duration_ns) for e, f in cases]
             _write(args.out, report_metrics(reports))
             return 0
         p.error("report needs --census or --replay-matrix")

@@ -78,17 +78,13 @@ class Stream:
     def talker(self) -> str:
         return self.route[0][0]
 
-    @property
-    def listener(self) -> str:
-        return self.route[-1][1]
-
 
 @dataclass(frozen=True)
 class Scenario:
     """Network graph plus traffic.  Node/link/stream order is significant:
     every derived artifact (constraints, encodings, schedules) iterates in
     scenario order so that identical scenarios produce identical outputs.
-    Building one with any defect of :func:`validate_scenario` raises
+    Building one with any defect of :func:`_scenario_defects` raises
     :class:`InvalidInputError`, so no later layer checks it again."""
 
     nodes: tuple[tuple[str, str], ...]  # (node id, "end-station" | "switch")
@@ -98,7 +94,7 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        defects = validate_scenario(self)
+        defects = _scenario_defects(self)
         if defects:
             raise InvalidInputError(f"invalid scenario {self.name!r}: " + "; ".join(defects))
 
@@ -297,10 +293,9 @@ def expand_frame_instances(scenario: Scenario) -> list[FrameInstance]:
     return out
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
+def _scenario_defects(scenario: Scenario) -> list[str]:
     """Every defect of the scenario (empty = ok): each input that a later
-    layer cannot handle.  :class:`Scenario` raises on any at construction,
-    so this returns ``[]`` for every scenario that exists."""
+    layer cannot handle.  :class:`Scenario` raises on any at construction."""
     # type defects come alone: the checks below hash, compare and format
     # the same fields
     defects = _type_defects(scenario)
@@ -489,9 +484,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _read_json(path: str | Path):
+    """The JSON document in the file at ``path``; a file that is not JSON
+    raises :class:`InvalidInputError` naming it."""
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as err:  # not JSON, or not text
+            raise InvalidInputError(f"{path} is not a JSON file: {err}") from None
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(_read_json(path))
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import InvalidInputError, _entries, _hop, ns_to_us_str
+from .model import InvalidInputError, _entries, _hop, _read_json, ns_to_us_str
 
 NFIC_QUEUE = 4  # the paper's shared queue when isolation is disabled
 
@@ -104,5 +104,4 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    with open(path) as fh:
-        return Schedule.from_dict(json.load(fh))
+    return Schedule.from_dict(_read_json(path))

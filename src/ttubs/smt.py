@@ -10,6 +10,7 @@ ttubs.smtlib_solver``) is used.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import subprocess
@@ -54,8 +55,8 @@ class SolveRequest:
     solver_command: list[str] | None = None
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise InvalidInputError("timeout must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise InvalidInputError("timeout must be positive and finite")
 
 
 @dataclass
@@ -125,9 +126,10 @@ def encode(cs: ConstraintSet) -> str:
 def parse_model(output: str, declared: list[str]) -> dict[str, int]:
     """Extract a total integer assignment from solver output.
 
-    Accepts the ``(define-fun name () Int value)`` model shape as well as
-    flat ``((name value) ...)`` pairs.  Every declared variable must be
-    assigned; names outside the declaration set are rejected.
+    Reads every ``(define-fun name () Int value)`` form at any depth, so a
+    bare model list and a ``(model ...)`` wrapper both work.  Every
+    declared variable must be assigned; names outside the declaration set
+    are rejected.
     """
     declared_set = set(declared)
     assignment: dict[str, int] = {}
@@ -135,8 +137,7 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
     def visit(node):
         if not isinstance(node, list) or not node:
             return
-        head = node[0]
-        if head == "define-fun":
+        if node[0] == "define-fun":
             if len(node) < 5:
                 raise ModelParseError(f"malformed define-fun: {node!r}")
             name = node[1]
@@ -144,23 +145,12 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
                 raise ModelParseError(f"unknown variable {name!r} in model")
             assignment[name] = int_value(node[4])
             return
-        if head == "model":
-            for sub in node[1:]:
-                visit(sub)
-            return
-        if len(node) == 2 and isinstance(head, str) and head != "-":
-            # flat (name value) pair, the get-value answer shape
-            if head not in declared_set:
-                raise ModelParseError(f"unknown variable {head!r} in model")
-            assignment[head] = int_value(node[1])
-            return
         for sub in node:
             visit(sub)
 
     try:
         for form in parse_sexprs(tokenize(output)):
-            if form != "sat" and form != "unsat":
-                visit(form)
+            visit(form)
     except SolverInputError as exc:
         raise ModelParseError(str(exc)) from exc
     missing = [v for v in declared if v not in assignment]

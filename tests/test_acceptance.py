@@ -48,11 +48,7 @@ def normal_runs(adas, dep3):
 
 
 def _requirements_met(scenario, report):
-    return all(
-        report.metrics[s.id].deadline_violations == 0
-        and not report.metrics[s.id].jitter_violation
-        for s in scenario.streams
-    )
+    return all(report.metrics[s.id].requirements_met for s in scenario.streams)
 
 
 def test_criterion_01_fixture_validation(adas):

@@ -10,10 +10,8 @@ from ttubs.artifacts import (
     build_gcl,
     build_shaper_offset_table,
     e2e_bounds_and_jitter,
-    e2e_closed_form,
     e2e_per_slot,
     latency_breakdown,
-    schedule_from_table,
 )
 from ttubs.model import InvalidInputError, Link, Scenario, Stream
 from ttubs.schedule import Schedule
@@ -45,9 +43,12 @@ def test_single_slot_row(adas, table3):
 def test_table_round_trip(adas, table3, table8):
     for sched in (table3, table8):
         table = build_shaper_offset_table(adas, sched)
-        back = schedule_from_table(adas, table)
-        assert back.offsets == sched.offsets
-        assert build_shaper_offset_table(adas, back).rows == table.rows
+        offsets = {
+            (r.stream, r.egress, slot): off
+            for r in table.rows
+            for slot, off in enumerate(r.eligibility_offsets_ns)
+        }
+        assert offsets == sched.offsets
 
 
 def test_gcl_windows_exact(adas, table3):
@@ -276,13 +277,12 @@ def test_next_fit_start_property(gcl, queue, data):
     _assert_matches_brute_force(gcl, queue, duration)
 
 
-def test_e2e_closed_form_values(adas, table3):
+def test_e2e_per_slot_values(adas, table3):
     table = build_shaper_offset_table(adas, table3)
-    assert e2e_closed_form(adas, "cam1", table, 1200) == 41_776
-    assert e2e_closed_form(adas, "cam1", table, 1000) == 40_176
     assert e2e_per_slot(adas, "cam1", table, 1200) == [41_776, 41_776]
+    assert e2e_per_slot(adas, "cam1", table, 1000) == [40_176, 40_176]
     with pytest.raises(InvalidInputError):
-        e2e_closed_form(adas, "nosuch", table, 1200)
+        e2e_per_slot(adas, "nosuch", table, 1200)
 
 
 def test_row_for_finds_every_row(adas, table3):
@@ -305,7 +305,7 @@ def test_e2e_zero_hop_degenerate():
     )
     sched = Schedule(offsets={("s", ("A", "B"), 0): 0})
     table = build_shaper_offset_table(sc, sched)
-    assert e2e_closed_form(sc, "s", table, 200) == (200 + 22) * 8
+    assert e2e_per_slot(sc, "s", table, 200) == [(200 + 22) * 8]
 
 
 def test_e2e_bounds_and_jitter(adas, table3):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from ttubs.artifacts import build_deployment, e2e_per_slot, latency_breakdown
 from ttubs.constraints import validate_schedule
 from ttubs.lstb import lstb_solve
-from ttubs.model import Link, Scenario, Stream, validate_scenario
+from ttubs.model import Link, Scenario, Stream
 from ttubs.sim import SimConfig, run
 from ttubs.smt import SolveRequest, solve
 
@@ -65,7 +65,6 @@ def scenarios(draw):
 
 
 def _check_sat(sc, schedule, mode):
-    assert validate_scenario(sc) == []
     assert validate_schedule(sc, schedule, mode) == []
     dep = build_deployment(sc, schedule)
     report = run(SimConfig(sc, dep, "ttubs", rng_seed=1, sim_duration_ns=2 * sc.hyper_period_ns))

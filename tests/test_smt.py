@@ -80,27 +80,31 @@ def test_parse_model_define_fun():
     assert parse_model(out, ["x", "y"]) == {"x": 32000, "y": -5}
 
 
-def test_parse_model_value_pairs():
-    assert parse_model("sat\n((x 7) (y (- 2)))\n", ["x", "y"]) == {"x": 7, "y": -2}
+def test_parse_model_model_wrapper():
+    # older z3 builds wrap the get-model answer in (model ...)
+    out = "sat\n(model\n  (define-fun x () Int 7)\n  (define-fun y () Int (- 2))\n)\n"
+    assert parse_model(out, ["x", "y"]) == {"x": 7, "y": -2}
 
 
 def test_parse_model_empty():
     assert parse_model("sat\n(\n)\n", []) == {}
 
 
-def test_parse_model_missing_variable():
+# the second output is a get-value answer, which encode never asks for
+@pytest.mark.parametrize("out", ["sat\n((define-fun x () Int 7))\n", "sat\n((x 7) (y 7))\n"])
+def test_parse_model_missing_variable(out):
     with pytest.raises(ModelParseError, match="unassigned variable"):
-        parse_model("sat\n((x 7))\n", ["x", "y"])
+        parse_model(out, ["x", "y"])
 
 
 def test_parse_model_unknown_name():
     with pytest.raises(ModelParseError, match="unknown variable"):
-        parse_model("sat\n((z 7))\n", ["x"])
+        parse_model("sat\n((define-fun z () Int 7))\n", ["x"])
 
 
 def test_parse_model_malformed():
     with pytest.raises(ModelParseError):
-        parse_model("sat\n((x 7)\n", ["x"])
+        parse_model("sat\n((define-fun x () Int 7)\n", ["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +499,38 @@ def test_solve_timeout(adas):
     assert out.status == "timeout"
 
 
-def test_solve_process_failure_is_not_unsat(adas):
-    with pytest.raises(SolverProcessError):
-        solve(SolveRequest(adas, "nfic", timeout_s=30, solver_command=["false"]))
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["false"], "did not answer sat/unsat"),
+        ([sys.executable, "-c", "import sys; sys.stdin.read(); print('unknown')"], "did not answer sat/unsat"),
+        (["/nonexistent/solver"], "cannot run solver"),
+    ],
+)
+def test_solve_process_failure_is_not_unsat(adas, command, message):
+    with pytest.raises(SolverProcessError, match=message):
+        solve(SolveRequest(adas, "nfic", timeout_s=30, solver_command=command))
 
 
-def test_solve_rejects_zero_timeout(adas):
-    with pytest.raises(InvalidInputError):
-        SolveRequest(adas, "nfic", timeout_s=0)
+# answers sat with every declared variable 0, in a (model ...) wrapper
+ZERO_MODEL_SOLVER = """
+import re, sys
+names = re.findall(r"declare-const (\\S+) Int", sys.stdin.read())
+print("sat")
+print("(model " + " ".join(f"(define-fun {n} () Int 0)" for n in names) + ")")
+"""
+
+
+def test_solve_refuses_a_model_that_violates_the_constraints(adas):
+    command = [sys.executable, "-c", ZERO_MODEL_SOLVER]
+    with pytest.raises(SolverProcessError, match="violates 26 constraints"):
+        solve(SolveRequest(adas, "nfic", timeout_s=30, solver_command=command))
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1.0, float("nan"), float("inf")])
+def test_solve_rejects_timeout_not_positive_and_finite(adas, timeout_s):
+    with pytest.raises(InvalidInputError, match="timeout must be positive and finite"):
+        SolveRequest(adas, "nfic", timeout_s=timeout_s)
 
 
 def _single_hop(deadline_ns):
