@@ -260,7 +260,12 @@ def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 missing = [c for c in columns if c not in (reader.fieldnames or ())]
                 if missing:
                     raise InvalidInputError(f"{args.census} has no {missing[0]!r} column")
-                rows = [{c: read(row[c]) for c, read in columns.items()} for row in reader]
+                rows = []
+                for row in reader:
+                    try:  # a short row leaves its last cells None
+                        rows.append({c: read(row[c] or "") for c, read in columns.items()})
+                    except ValueError as err:
+                        raise InvalidInputError(f"{args.census} row {reader.line_num}: {err}") from None
             _write(args.out, report_census(rows))
             return 0
         if args.replay_matrix:

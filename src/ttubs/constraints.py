@@ -116,12 +116,13 @@ class ConstraintSet:
     queue_vars: list[QueueVar]
     constraints: list[GroundConstraint]
 
-    @property
-    def offset_var_names(self) -> list[str]:
-        return [fi.var_name for fi in self.instances]
-
     def free_queue_vars(self) -> list[QueueVar]:
         return [q for q in self.queue_vars if q.fixed is None]
+
+    @property
+    def variable_names(self) -> list[str]:
+        """Offsets, then free queues, in the order ``smt.encode`` declares them."""
+        return [fi.var_name for fi in self.instances] + [q.name for q in self.free_queue_vars()]
 
     def census(self) -> ConstraintCensus:
         """Per-category constraint counts."""
@@ -129,6 +130,16 @@ class ConstraintSet:
         for gc in self.constraints:
             counts[gc.category] += 1
         return ConstraintCensus(**counts)
+
+    def schedule_of(self, assignment: dict[str, int]) -> Schedule:
+        """The schedule an assignment of :attr:`variable_names` stands for;
+        :meth:`violations` opens with its inverse."""
+        sched = Schedule()
+        for fi in self.instances:
+            sched.offsets[(fi.stream, fi.link, fi.slot)] = assignment[fi.var_name] + fi.slot * fi.period_ns
+        for qv in self.queue_vars:
+            sched.queues[(qv.stream, qv.link)] = qv.fixed if qv.fixed is not None else assignment[qv.name]
+        return sched
 
     def violations(self, schedule: Schedule) -> list[GroundConstraint]:
         """Evaluate every ground constraint on the schedule; returns the

@@ -1,11 +1,12 @@
 """Constraint-solver integration: SMT-LIB 2 encoding, external process
 driver, and model extraction.
 
-The toolkit never links a solver.  ``solve`` pipes the encoded problem to a
-child process on stdin and reads ``sat``/``unsat`` plus a model from stdout,
-so any solver speaking SMT-LIB 2 works (``z3 -in``, for instance).  When no
-command is configured, the bundled fallback (``python -m
-ttubs.smtlib_solver``) is used.
+``solve`` is build, encode, ask, read; the toolkit never links a solver.
+``_ask`` is the one seam to it: it pipes SMT-LIB text to a child process
+(``python -m ttubs.smtlib_solver`` unless a command is configured; ``z3
+-in`` works too) and returns the answer text when its first token is
+``sat`` or ``unsat``, returns ``None`` when the time limit passes, and
+raises :class:`SolverProcessError` otherwise.
 """
 
 from __future__ import annotations
@@ -160,58 +161,42 @@ def parse_model(output: str, declared: list[str]) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# driving the external process
+# asking the solver
 
-def _schedule_from_assignment(cs: ConstraintSet, assignment: dict[str, int]) -> Schedule:
-    sched = Schedule()
-    for fi in cs.instances:
-        rel = assignment[fi.var_name]
-        sched.offsets[(fi.stream, fi.link, fi.slot)] = rel + fi.slot * fi.period_ns
-    for qv in cs.queue_vars:
-        value = qv.fixed if qv.fixed is not None else assignment[qv.name]
-        sched.queues[(qv.stream, qv.link)] = value
-    return sched
+def _ask(text: str, command: list[str], timeout_s: float) -> str | None:
+    """The solver's answer to ``text``, or ``None`` once ``timeout_s`` has
+    passed and the child is killed.  A child that cannot start, or whose
+    answer opens with neither ``sat`` nor ``unsat``, raises
+    :class:`SolverProcessError`; its exit code alone decides nothing."""
+    try:
+        proc = subprocess.run(command, input=text, capture_output=True, text=True, timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        return None
+    except OSError as exc:
+        raise SolverProcessError(f"cannot run solver {command!r}: {exc}") from exc
+    if proc.stdout.split(maxsplit=1)[:1] in (["sat"], ["unsat"]):
+        return proc.stdout
+    raise SolverProcessError(
+        f"solver did not answer sat/unsat (exit {proc.returncode}): "
+        f"stdout={proc.stdout[:200]!r} stderr={proc.stderr[:200]!r}"
+    )
 
 
 def solve(request: SolveRequest) -> SolveOutcome:
-    """Encode, run the external solver, extract and validate the schedule.
-
-    A wall-clock cap kills the child and reports ``timeout``; process
-    failures and 'unknown' verdicts raise :class:`SolverProcessError` and
-    are never reported as unsat.
-    """
+    """Build, encode, ask the solver, then read and validate the schedule.
+    A timeout reports ``timeout``; a process failure, an 'unknown' verdict or
+    a model that breaks a constraint raises, never reported as unsat."""
     cs = build_constraint_set(request.scenario, request.mode)
     text = encode(cs)
-    cmd = request.solver_command or default_solver_command()
     cens = cs.census()
-
     start = time.perf_counter()
-    try:
-        proc = subprocess.run(
-            cmd,
-            input=text,
-            capture_output=True,
-            text=True,
-            timeout=request.timeout_s,
-        )
-    except subprocess.TimeoutExpired:
-        return SolveOutcome("timeout", None, time.perf_counter() - start, cens)
-    except OSError as exc:
-        raise SolverProcessError(f"cannot run solver {cmd!r}: {exc}") from exc
+    answer = _ask(text, request.solver_command or default_solver_command(), request.timeout_s)
     elapsed = time.perf_counter() - start
-
-    verdict = proc.stdout.split()[0] if proc.stdout.split() else ""
-    if verdict == "unsat":
+    if answer is None:
+        return SolveOutcome("timeout", None, elapsed, cens)
+    if answer.split(maxsplit=1)[0] == "unsat":
         return SolveOutcome("unsat", None, elapsed, cens)
-    if verdict != "sat":
-        raise SolverProcessError(
-            f"solver did not answer sat/unsat (exit {proc.returncode}): "
-            f"stdout={proc.stdout[:200]!r} stderr={proc.stderr[:200]!r}"
-        )
-
-    declared = cs.offset_var_names + [q.name for q in cs.free_queue_vars()]
-    assignment = parse_model(proc.stdout, declared)
-    sched = _schedule_from_assignment(cs, assignment)
+    sched = cs.schedule_of(parse_model(answer, cs.variable_names))
     violated = cs.violations(sched)
     if violated:
         raise SolverProcessError(

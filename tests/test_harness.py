@@ -247,12 +247,16 @@ def test_cli_reports_invalid_input_in_one_line(argv, message):
         (["census", "{tmp}/brace.json"], "{tmp}/brace.json is not a JSON file: "),
         (["simulate", "{tmp}/adas.json", "{tmp}/brace.json"], "{tmp}/brace.json is not a JSON file: "),
         (["report", "--census", "{tmp}/pivot.csv"], "{tmp}/pivot.csv has no 'devices' column"),
+        (["report", "--census", "{tmp}/word.csv"], "{tmp}/word.csv row 2: invalid literal for int() with base 10: 'x'"),
+        (["report", "--census", "{tmp}/short.csv"], "{tmp}/short.csv row 3: could not convert string to float: ''"),
     ],
 )
 def test_cli_reports_a_bad_file_in_one_line(adas, tmp_path, capsys, argv, message):
     save_scenario(adas, tmp_path / "adas.json")
     (tmp_path / "brace.json").write_text("{")
     (tmp_path / "pivot.csv").write_text("streams,mean_total\n5,10.0\n")
+    (tmp_path / "word.csv").write_text("devices,streams,mean_total\nx,5,10.0\n")
+    (tmp_path / "short.csv").write_text("devices,streams,mean_total\n3,5,10.0\n4,5\n")
     with pytest.raises(SystemExit) as exit_:
         main([a.format(tmp=tmp_path) for a in argv])
     assert exit_.value.code == 2

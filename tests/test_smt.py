@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttubs import constraints, model
+from ttubs import constraints, model, smt
 from ttubs.constraints import build_constraint_set, validate_schedule
 from ttubs.harness import ChainSpec, gen_chain
 from ttubs.model import InvalidInputError, Link, Scenario, Stream
@@ -502,14 +503,50 @@ def test_solve_timeout(adas):
 @pytest.mark.parametrize(
     "command, message",
     [
-        (["false"], "did not answer sat/unsat"),
+        (["false"], "did not answer sat/unsat (exit 1)"),
         ([sys.executable, "-c", "import sys; sys.stdin.read(); print('unknown')"], "did not answer sat/unsat"),
         (["/nonexistent/solver"], "cannot run solver"),
     ],
 )
 def test_solve_process_failure_is_not_unsat(adas, command, message):
-    with pytest.raises(SolverProcessError, match=message):
+    with pytest.raises(SolverProcessError, match=re.escape(message)):
         solve(SolveRequest(adas, "nfic", timeout_s=30, solver_command=command))
+
+
+def test_solve_reads_no_model_after_unsat(adas, monkeypatch):
+    def no_model(*args):
+        raise AssertionError("parse_model called on an unsat answer")
+
+    monkeypatch.setattr(smt, "parse_model", no_model)
+    command = [sys.executable, "-c", "import sys; sys.stdin.read(); print('unsat')"]
+    out = solve(SolveRequest(adas, "nfic", timeout_s=30, solver_command=command))
+    assert (out.status, out.schedule) == ("unsat", None)
+
+
+def test_solve_asks_through_the_module_attributes_the_benchmark_wraps(adas, monkeypatch):
+    # benchmarks/tracing.py times the child by replacing ttubs.smt.subprocess
+    # and the model read by replacing ttubs.smt.parse_model
+    runs, parses = [], []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(subprocess, name)
+
+        def run(self, *args, **kwargs):
+            runs.append(kwargs)
+            return subprocess.run(*args, **kwargs)
+
+    def parse(*args):
+        parses.append(args)
+        return parse_model(*args)
+
+    monkeypatch.setattr(smt, "subprocess", Recording())
+    monkeypatch.setattr(smt, "parse_model", parse)
+    out = solve(SolveRequest(adas, "nfic", timeout_s=120))
+    assert out.status == "sat"
+    [run] = runs
+    assert run["input"] == encode(build_constraint_set(adas, "nfic"))
+    assert len(parses) == 1
 
 
 # answers sat with every declared variable 0, in a (model ...) wrapper
